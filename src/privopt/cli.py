@@ -31,8 +31,11 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
+from enum import Enum
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .errors import (
@@ -57,7 +60,6 @@ from .sensitivity import (
     DIMENSIONAL_FACTORS,
     DIMENSIONLESS_FACTORS,
     SensitivityEntry,
-    SensitivityKind,
     SweepSeries,
     default_price_grid,
     olr_sweep,
@@ -66,10 +68,7 @@ from .sensitivity import (
     tornado,
 )
 from .solver import (
-    FeasibilityCondition,
     FeasibilityReport,
-    Regime,
-    SolutionStatus,
     TradeoffSolution,
     feasibility_report,
     normalized_gradient,
@@ -136,156 +135,87 @@ class ReportBundle:
     solution: TradeoffSolution | None = None
     feasibility: FeasibilityReport | None = None
     sweep: SweepSeries | None = None
-    tornado_pairs: tuple | None = None
+    tornado_pairs: tuple[tuple[SensitivityEntry, SensitivityEntry], ...] | None = None
     summary: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "scenario": _scenario_to_dict(self.scenario),
-            "solution": _solution_to_dict(self.solution),
-            "feasibility": _feasibility_to_dict(self.feasibility),
-            "sweep": _sweep_to_dict(self.sweep),
-            "tornado": _tornado_to_dict(self.tornado_pairs),
-            "summary": dict(self.summary),
-            "metadata": dict(self.metadata),
-        }
+        pairs = self.tornado_pairs
+        out = {name: _encode(getattr(self, name)) for name in _BUNDLE_PARTS}
+        out.update(
+            command=self.command,
+            tornado=None if pairs is None else [
+                {"minus": _encode(m), "plus": _encode(p)} for m, p in pairs
+            ],
+            summary=dict(self.summary),
+            metadata=dict(self.metadata),
+        )
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReportBundle":
+        hints = get_type_hints(cls)
+        rows = d.get("tornado")
         return cls(
             command=d["command"],
-            scenario=_scenario_from_dict(d.get("scenario")),
-            solution=_solution_from_dict(d.get("solution")),
-            feasibility=_feasibility_from_dict(d.get("feasibility")),
-            sweep=_sweep_from_dict(d.get("sweep")),
-            tornado_pairs=_tornado_from_dict(d.get("tornado")),
+            tornado_pairs=None if rows is None else tuple(
+                (_decode(SensitivityEntry, r["minus"]), _decode(SensitivityEntry, r["plus"]))
+                for r in rows
+            ),
             summary=dict(d.get("summary") or {}),
             metadata=dict(d.get("metadata") or {}),
+            **{name: _decode(hints[name], d.get(name)) for name in _BUNDLE_PARTS},
         )
 
 
-def _scenario_to_dict(s):
-    return None if s is None else {k: getattr(s, k) for k in SCENARIO_KEYS}
+#: Bundle fields that are dataclasses, serialised under their own names.
+_BUNDLE_PARTS = ("scenario", "solution", "feasibility", "sweep")
 
 
-def _scenario_from_dict(d):
-    return None if d is None else Scenario(**d)
+def _encode(value):
+    """Dataclasses become dicts of their fields, enums their values, tuples lists."""
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
 
 
-def _solution_to_dict(sol):
-    if sol is None:
+def _decode(hint, value):
+    """Inverse of ``_encode``, driven by the type hint of the target."""
+    if value is None:
         return None
-    return {
-        "l_opt": sol.l_opt,
-        "status": sol.status.value,
-        "surplus": sol.surplus,
-        "critical_points": list(sol.critical_points),
-        "regime": sol.regime.value,
-        "bracket": list(sol.bracket) if sol.bracket is not None else None,
-    }
-
-
-def _solution_from_dict(d):
-    if d is None:
-        return None
-    return TradeoffSolution(
-        l_opt=d["l_opt"],
-        status=SolutionStatus(d["status"]),
-        surplus=d["surplus"],
-        critical_points=tuple(d["critical_points"]),
-        regime=Regime(d["regime"]),
-        bracket=tuple(d["bracket"]) if d.get("bracket") is not None else None,
-    )
-
-
-def _feasibility_to_dict(rep):
-    if rep is None:
-        return None
-    return {
-        "regime": rep.regime.value,
-        "conditions": [
-            {"name": c.name, "bound": c.bound, "satisfied": c.satisfied} for c in rep.conditions
-        ],
-        "guaranteed_unique": rep.guaranteed_unique,
-    }
-
-
-def _feasibility_from_dict(d):
-    if d is None:
-        return None
-    return FeasibilityReport(
-        regime=Regime(d["regime"]),
-        conditions=tuple(
-            FeasibilityCondition(c["name"], c["bound"], c["satisfied"]) for c in d["conditions"]
-        ),
-        guaranteed_unique=d["guaranteed_unique"],
-    )
-
-
-def _sweep_to_dict(sw):
-    if sw is None:
-        return None
-    return {
-        "factor": sw.factor,
-        "grid": list(sw.grid),
-        "l_opt": list(sw.l_opt),
-        "revenue": list(sw.revenue),
-        "statuses": [st.value for st in sw.statuses],
-        "olr": list(sw.olr) if sw.olr is not None else None,
-        "saturation_price": sw.saturation_price,
-    }
-
-
-def _sweep_from_dict(d):
-    if d is None:
-        return None
-    return SweepSeries(
-        factor=d["factor"],
-        grid=tuple(d["grid"]),
-        l_opt=tuple(d["l_opt"]),
-        revenue=tuple(d["revenue"]),
-        statuses=tuple(SolutionStatus(v) for v in d["statuses"]),
-        olr=tuple(d["olr"]) if d.get("olr") is not None else None,
-        saturation_price=d.get("saturation_price"),
-    )
-
-
-def _entry_to_dict(e):
-    return {
-        "factor": e.factor,
-        "kind": e.kind.value,
-        "delta": e.delta,
-        "value": e.value,
-        "mixed_status": e.mixed_status,
-    }
-
-
-def _entry_from_dict(d):
-    return SensitivityEntry(
-        factor=d["factor"],
-        delta=d["delta"],
-        value=d["value"],
-        kind=SensitivityKind(d["kind"]),
-        mixed_status=d["mixed_status"],
-    )
-
-
-def _tornado_to_dict(pairs):
-    if pairs is None:
-        return None
-    return [{"minus": _entry_to_dict(m), "plus": _entry_to_dict(p)} for m, p in pairs]
-
-
-def _tornado_from_dict(rows):
-    if rows is None:
-        return None
-    return tuple((_entry_from_dict(r["minus"]), _entry_from_dict(r["plus"])) for r in rows)
+    if get_origin(hint) in (Union, UnionType):
+        return _decode(next(a for a in get_args(hint) if a is not type(None)), value)
+    if get_origin(hint) is tuple:
+        return tuple(_decode(get_args(hint)[0], v) for v in value)
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        return hint(**{name: _decode(hints[name], v) for name, v in value.items()})
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
 # scenario loading
+
+
+def _number(name: str, value, whole: bool = False) -> float:
+    """A finite JSON number (not a bool), optionally integral, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(name, f"must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(name, "must be finite")
+    if whole and number != int(number):
+        raise ValidationError(name, f"must be a whole number, got {value!r}")
+    return number
 
 
 def load_scenario(path: str) -> ScenarioFile:
@@ -308,13 +238,7 @@ def load_scenario(path: str) -> ScenarioFile:
     if missing:
         raise ValidationError(", ".join(missing), "missing required key(s)")
 
-    numbers = {}
-    for key in SCENARIO_KEYS:
-        value = data[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(key, f"must be a number, got {value!r}")
-        numbers[key] = float(value)
-    scenario = Scenario(**numbers)
+    scenario = Scenario(**{key: _number(key, data[key]) for key in SCENARIO_KEYS})
 
     sweep = None
     if "sweep" in data:
@@ -325,8 +249,7 @@ def load_scenario(path: str) -> ScenarioFile:
         if bad:
             raise ValidationError(f"sweep.{bad[0]}", "unknown key")
         for key, value in block.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(f"sweep.{key}", f"must be a number, got {value!r}")
+            _number(f"sweep.{key}", value, whole=key == "points")
         sweep = {k: block[k] for k in SWEEP_KEYS if k in block}
 
     plan = None
@@ -341,17 +264,15 @@ def load_scenario(path: str) -> ScenarioFile:
             factor, low, high = row
             if factor not in DIMENSIONAL_FACTORS + DIMENSIONLESS_FACTORS:
                 raise ValidationError(f"tornado[{i}]", f"unknown factor {factor!r}")
-            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (low, high)):
-                raise ValidationError(f"tornado[{i}]", "low/high must be numbers")
-            parsed.append((factor, float(low), float(high)))
+            parsed.append((factor, _number(f"tornado[{i}]", low), _number(f"tornado[{i}]", high)))
         plan = tuple(parsed)
 
     losses = None
     if "losses" in data:
         seq = data["losses"]
-        if not isinstance(seq, list) or not all(isinstance(x, (int, float)) for x in seq):
+        if not isinstance(seq, list):
             raise ValidationError("losses", "must be a list of numbers")
-        losses = tuple(float(x) for x in seq)
+        losses = tuple(_number(f"losses[{i}]", x) for i, x in enumerate(seq))
 
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     return ScenarioFile(
@@ -364,7 +285,7 @@ def load_scenario(path: str) -> ScenarioFile:
 
 
 def _metadata(sf: ScenarioFile | None, args) -> dict:
-    meta = {
+    return {
         "tool": "privopt",
         "version": __version__,
         "timestamp": None
@@ -372,10 +293,6 @@ def _metadata(sf: ScenarioFile | None, args) -> dict:
         else datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "input_digest": sf.digest if sf is not None else None,
     }
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        meta["seed"] = seed
-    return meta
 
 
 def _grid_from(sf: ScenarioFile, args) -> tuple:
@@ -457,18 +374,13 @@ def _cmd_sweep_olr(sf, args, out):
     series = olr_sweep(sf.scenario, _grid_from(sf, args))
     olr = [x for x in series.olr if not math.isnan(x)]
     out.write(f"points            {len(series.grid)}\n")
-    out.write(f"olr range         [{min(olr):.6g}, {max(olr):.6g}]\n")
+    if olr:
+        out.write(f"olr range         [{min(olr):.6g}, {max(olr):.6g}]\n")
+    else:
+        out.write("olr range         undefined (vulnerable optimum 0 everywhere)\n")
     if series.saturation_price is not None:
         out.write(f"secure-side kink  {series.saturation_price:.6g}\n")
-    series = SweepSeries(
-        factor=series.factor,
-        grid=series.grid,
-        l_opt=series.l_opt,
-        revenue=series.revenue,
-        statuses=series.statuses,
-        olr=tuple(_clean(x) for x in series.olr),
-        saturation_price=series.saturation_price,
-    )
+    series = replace(series, olr=tuple(_clean(x) for x in series.olr))
     summary = {"kink_price": series.saturation_price}
     return ReportBundle(command="sweep-olr", scenario=sf.scenario, sweep=series, summary=summary)
 
@@ -597,8 +509,9 @@ _HANDLERS = {
 def run_command(command: str, scenario_file: ScenarioFile | None, args, out=None) -> ReportBundle:
     """Execute one command and return its report bundle.
 
-    ``args`` is any namespace carrying the optional flags (grid, pmin,
-    pmax, points, seed, no_timestamp, benefit, loss).  Errors surface as
+    ``args`` is any namespace carrying the flags the command reads:
+    ``grid`` for oracle-check, ``pmin``/``pmax``/``points`` for the
+    sweeps, ``benefit``/``loss`` for pareto-nu, and ``no_timestamp``.  Errors surface as
     package exceptions; the CLI entry point maps them to exit codes.
     """
     if command not in _HANDLERS:
@@ -713,11 +626,12 @@ def _build_parser() -> _Parser:
             p.add_argument("scenario", help="path to a scenario JSON file")
         p.add_argument("--out", help="write a machine-readable report here")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--grid", type=int, help="grid points for oracle-check")
-        p.add_argument("--pmin", type=float, help="sweep grid lower price")
-        p.add_argument("--pmax", type=float, help="sweep grid upper price (< p_star)")
-        p.add_argument("--points", type=int, help="sweep grid size")
-        p.add_argument("--seed", type=int, help="recorded in the report metadata")
+        if name == "oracle-check":
+            p.add_argument("--grid", type=int, help="grid points for oracle-check")
+        if name.startswith("sweep-"):
+            p.add_argument("--pmin", type=float, help="sweep grid lower price")
+            p.add_argument("--pmax", type=float, help="sweep grid upper price (< p_star)")
+            p.add_argument("--points", type=int, help="sweep grid size")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp for byte-identical reruns")
     return parser

@@ -7,6 +7,11 @@ the power law ``alpha(l) = alpha_n * (l / l_n)**nu``.  The net surplus is
 the consumption surplus on the expanded curve minus the expected breach
 loss; its maximiser over ``[0, l_n]`` is the customer's optimal exposure.
 
+A breach happens when either side of the customer/provider pair fails,
+so the provider-side and customer-side probabilities compose like a
+two-component series system.  The customer-side probability grows with
+the potential loss through a second power law, ``pi_c* (l / l_n)**theta``.
+
 All operations are pure functions of immutable values and accept scalars
 or numpy arrays where a loss or price argument is marked array-compatible.
 Power-law terms are evaluated in log domain, with the zero base handled
@@ -15,6 +20,7 @@ separately, so extreme exponents neither underflow nor overflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,26 +39,36 @@ __all__ = [
     "pareto_privacy_parameter",
     "net_surplus",
     "surplus_gradient",
+    "customer_breach_probability",
+    "combined_breach_probability",
 ]
 
 #: Tolerance used before taking the square root of the region discriminant.
 DISCRIMINANT_TOL = 1e-12
 
 
-def _pow_frac(base, exponent: float):
-    """Power ``base**exponent`` in log domain for nonnegative ``base``.
+def _powl(x, e: float):
+    """Power ``x**e`` in log domain for nonnegative ``x``, scalar or array.
 
-    ``base == 0`` maps to 0 for a positive exponent and to ``inf`` for a
-    negative one, the continuity limits.  Accepts scalars or arrays and
-    always routes through numpy so scalar and vectorised callers agree
-    bit for bit.
+    ``x == 0`` maps to the continuity limits: 0 for ``e > 0``, ``inf`` for
+    ``e < 0`` and 1 for ``e == 0``.  Both branches evaluate
+    ``np.exp(e * np.log(x))`` so scalar and vectorised callers agree bit
+    for bit; an overflowing ``exp`` returns ``inf`` without a warning.
     """
-    arr = np.asarray(base, dtype=np.float64)
-    if exponent == 0.0:
+    if isinstance(x, float):
+        if x == 0.0:
+            return 0.0 if e > 0 else math.inf if e < 0 else 1.0
+        y = e * np.log(x)
+        if y > 709.0:
+            with np.errstate(over="ignore"):
+                return float(np.exp(y))
+        return float(np.exp(y))
+    arr = np.asarray(x, dtype=np.float64)
+    if e == 0.0:
         out = np.ones_like(arr)
     else:
-        with np.errstate(divide="ignore"):
-            out = np.exp(exponent * np.log(arr))
+        with np.errstate(divide="ignore", over="ignore"):
+            out = np.exp(e * np.log(arr))
     return out if arr.ndim else float(out)
 
 
@@ -99,7 +115,7 @@ class Scenario:
         ]
         for field, ok, msg in checks:
             value = getattr(self, field)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValidationError(field, "must be finite")
             if not ok:
                 raise ValidationError(field, f"{msg} (got {value!r})")
@@ -159,7 +175,7 @@ def marginal_demand_factor(s: Scenario, l):
     arr = np.asarray(l, dtype=np.float64)
     if np.any(arr < 0) or np.any(arr > s.l_n):
         raise DomainError(f"loss must lie in [0, {s.l_n}]")
-    out = s.alpha_n * _pow_frac(arr / s.l_n, s.nu)
+    out = s.alpha_n * _powl(arr / s.l_n, s.nu)
     return out if arr.ndim else float(out)
 
 
@@ -263,10 +279,10 @@ def net_surplus(s: Scenario, l):
     ratio = arr / s.l_n
     consumption = (
         0.5 * s.p_star * s.q_star
-        * (1.0 + s.alpha_n * _pow_frac(ratio, s.nu))
+        * (1.0 + s.alpha_n * _powl(ratio, s.nu))
         * s.margin() ** 2
     )
-    expected_loss = (s.pi_s + s.pi_c_star * (1.0 - s.pi_s) * _pow_frac(ratio, s.theta)) * arr
+    expected_loss = (s.pi_s + s.pi_c_star * (1.0 - s.pi_s) * _powl(ratio, s.theta)) * arr
     out = consumption - expected_loss
     return out if arr.ndim else float(out)
 
@@ -291,8 +307,42 @@ def surplus_gradient(s: Scenario, l):
         0.5 * s.q_star * s.p_star * s.nu
         * (s.alpha_n / s.l_n)
         * s.margin() ** 2
-        * _pow_frac(ratio, s.nu - 1.0)
+        * _powl(ratio, s.nu - 1.0)
     )
-    risk = s.pi_s + s.pi_c_star * (1.0 - s.pi_s) * (s.theta + 1.0) * _pow_frac(ratio, s.theta)
+    risk = s.pi_s + s.pi_c_star * (1.0 - s.pi_s) * (s.theta + 1.0) * _powl(ratio, s.theta)
     out = benefit - risk
     return out if arr.ndim else float(out)
+
+
+def _cap_risk(s: Scenario) -> float:
+    """Marginal expected loss at full release, ``pi_s + (1-pi_s) pi_c* (1+theta)``.
+
+    The gradient of the expected breach loss at ``l = l_n``; the benefit
+    side must outweigh it for the optimum to sit at the cap.
+    """
+    return s.pi_s + (1.0 - s.pi_s) * s.pi_c_star * (1.0 + s.theta)
+
+
+def customer_breach_probability(s: Scenario, l):
+    """Customer-side breach probability ``pi_c* * (l / l_n)**theta``.
+
+    Nondecreasing in ``l``; equals ``pi_c*`` at maximum release and 0 when
+    nothing is disclosed.  Array-compatible in ``l``.
+    """
+    arr = np.asarray(l, dtype=np.float64)
+    if np.any(arr < 0) or np.any(arr > s.l_n):
+        raise DomainError(f"loss must lie in [0, {s.l_n}]")
+    out = s.pi_c_star * _powl(arr / s.l_n, s.theta)
+    return out if arr.ndim else float(out)
+
+
+def combined_breach_probability(pi_s: float, pi_c: float) -> float:
+    """Series-system breach probability of two independent failure modes.
+
+    Evaluated as ``1 - (1 - pi_s)(1 - pi_c)``, identical to
+    ``pi_s + pi_c - pi_s*pi_c`` but immune to cancellation near 1.
+    """
+    for name, value in (("pi_s", pi_s), ("pi_c", pi_c)):
+        if not 0 <= value <= 1:
+            raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(1.0 - (1.0 - pi_s) * (1.0 - pi_c))

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, UsageError, ValidationError
-from .model import Scenario, demand_quantity, marginal_demand_factor
+from .model import Scenario, _cap_risk, demand_quantity, marginal_demand_factor
 from .secure import secure_feasible_loss
 from .solver import Regime, SolutionStatus, classify_regime, solve_tradeoff
 
@@ -97,11 +97,11 @@ class SweepSeries:
     """
 
     factor: str
-    grid: tuple
-    l_opt: tuple
-    revenue: tuple
-    statuses: tuple
-    olr: tuple | None = None
+    grid: tuple[float, ...]
+    l_opt: tuple[float, ...]
+    revenue: tuple[float, ...]
+    statuses: tuple[SolutionStatus, ...]
+    olr: tuple[float, ...] | None = None
     saturation_price: float | None = None
 
     def __post_init__(self):
@@ -133,33 +133,27 @@ def _perturbed(s: Scenario, factor: str, new_value: float) -> Scenario:
     return s2
 
 
-def discrete_elasticity(s: Scenario, factor: str, rel_delta: float) -> SensitivityEntry:
-    """Relative response of the optimum to a relative change of a factor."""
-    if factor not in DIMENSIONAL_FACTORS:
-        raise DomainError(f"{factor!r} is not a dimensional factor {DIMENSIONAL_FACTORS}")
-    if rel_delta == 0.0:
-        raise DomainError("rel_delta must be nonzero")
-    base = _solve_base(s)
-    s2 = _perturbed(s, factor, getattr(s, factor) * (1.0 + rel_delta))
-    sol2 = solve_tradeoff(s2)
-    value = ((sol2.l_opt - base.l_opt) / base.l_opt) / rel_delta
-    return SensitivityEntry(
-        factor=factor,
-        delta=rel_delta,
-        value=value,
-        kind=SensitivityKind.ELASTICITY,
-        mixed_status=sol2.status is not base.status,
-    )
+def _measure(s: Scenario, base, factor: str, step: float, kind: SensitivityKind) -> SensitivityEntry:
+    """One one-sided measurement against the base solution.
 
-
-def discrete_quasi_elasticity(s: Scenario, factor: str, new_value: float) -> SensitivityEntry:
-    """Relative response of the optimum per absolute change of a factor."""
-    if factor not in DIMENSIONLESS_FACTORS:
-        raise DomainError(f"{factor!r} is not a dimensionless factor {DIMENSIONLESS_FACTORS}")
-    delta = new_value - getattr(s, factor)
-    if delta == 0.0:
-        raise DomainError("new_value must differ from the current value")
-    base = _solve_base(s)
+    ``step`` is the relative change for an elasticity and the new
+    absolute value for a quasi-elasticity.  ``base`` is solved here when
+    None, after the arguments are checked.
+    """
+    if kind is SensitivityKind.ELASTICITY:
+        if factor not in DIMENSIONAL_FACTORS:
+            raise DomainError(f"{factor!r} is not a dimensional factor {DIMENSIONAL_FACTORS}")
+        if step == 0.0:
+            raise DomainError("rel_delta must be nonzero")
+        new_value, delta = getattr(s, factor) * (1.0 + step), step
+    else:
+        if factor not in DIMENSIONLESS_FACTORS:
+            raise DomainError(f"{factor!r} is not a dimensionless factor {DIMENSIONLESS_FACTORS}")
+        new_value, delta = step, step - getattr(s, factor)
+        if delta == 0.0:
+            raise DomainError("new_value must differ from the current value")
+    if base is None:
+        base = _solve_base(s)
     s2 = _perturbed(s, factor, new_value)
     sol2 = solve_tradeoff(s2)
     value = ((sol2.l_opt - base.l_opt) / base.l_opt) / delta
@@ -167,28 +161,38 @@ def discrete_quasi_elasticity(s: Scenario, factor: str, new_value: float) -> Sen
         factor=factor,
         delta=delta,
         value=value,
-        kind=SensitivityKind.QUASI_ELASTICITY,
+        kind=kind,
         mixed_status=sol2.status is not base.status,
     )
+
+
+def discrete_elasticity(s: Scenario, factor: str, rel_delta: float) -> SensitivityEntry:
+    """Relative response of the optimum to a relative change of a factor."""
+    return _measure(s, None, factor, rel_delta, SensitivityKind.ELASTICITY)
+
+
+def discrete_quasi_elasticity(s: Scenario, factor: str, new_value: float) -> SensitivityEntry:
+    """Relative response of the optimum per absolute change of a factor."""
+    return _measure(s, None, factor, new_value, SensitivityKind.QUASI_ELASTICITY)
 
 
 def tornado(s: Scenario, plan) -> list:
     """Two-sided sensitivity table sorted by descending bar size.
 
     Each plan row is ``(factor, low, high)``; dimensional factors take
-    relative steps, dimensionless ones absolute values.  Returns a list
-    of ``(minus_entry, plus_entry)`` pairs, largest
-    ``max(|minus|, |plus|)`` first, so the biggest bar sits on top.
+    relative steps, dimensionless ones absolute values.  The base
+    scenario is solved once for the whole table.  Returns a list of
+    ``(minus_entry, plus_entry)`` pairs, largest ``max(|minus|, |plus|)``
+    first, so the biggest bar sits on top.
     """
+    base = _solve_base(s)
     pairs = []
     for factor, low, high in plan:
-        if factor in DIMENSIONAL_FACTORS:
-            minus = discrete_elasticity(s, factor, low)
-            plus = discrete_elasticity(s, factor, high)
-        else:
-            minus = discrete_quasi_elasticity(s, factor, low)
-            plus = discrete_quasi_elasticity(s, factor, high)
-        pairs.append((minus, plus))
+        kind = (
+            SensitivityKind.ELASTICITY if factor in DIMENSIONAL_FACTORS
+            else SensitivityKind.QUASI_ELASTICITY
+        )
+        pairs.append((_measure(s, base, factor, low, kind), _measure(s, base, factor, high, kind)))
     pairs.sort(key=lambda pair: max(abs(pair[0].value), abs(pair[1].value)), reverse=True)
     return pairs
 
@@ -264,27 +268,15 @@ def olr_sweep(s: Scenario, grid) -> SweepSeries:
     """
     if s.pi_s <= 0.0:
         raise UsageError("OLR sweep needs pi_s > 0; the ratio is identically 1 otherwise")
-    grid = _check_grid(s, grid)
-    l_opt, revenue, statuses, olr = [], [], [], []
-    for p in grid:
-        s2 = replace(s, price=p)
-        sol = solve_tradeoff(s2)
-        l_opt.append(sol.l_opt)
-        statuses.append(sol.status)
-        revenue.append(_revenue_at(s2, sol.l_opt))
-        olr.append(secure_feasible_loss(s2) / sol.l_opt if sol.l_opt > 0 else math.nan)
+    series = price_sweep(s, grid)
+    olr = tuple(
+        secure_feasible_loss(replace(s, price=p)) / l if l > 0 else math.nan
+        for p, l in zip(series.grid, series.l_opt)
+    )
     kink = None
     if classify_regime(s) is Regime.NU_LT_1:
         kink = saturation_price(replace(s, pi_s=0.0))
-    return SweepSeries(
-        factor="price",
-        grid=grid,
-        l_opt=tuple(l_opt),
-        revenue=tuple(revenue),
-        statuses=tuple(statuses),
-        olr=tuple(olr),
-        saturation_price=kink,
-    )
+    return replace(series, olr=olr, saturation_price=kink)
 
 
 def saturation_price(s: Scenario) -> float:
@@ -300,7 +292,6 @@ def saturation_price(s: Scenario) -> float:
     """
     if classify_regime(s) is not Regime.NU_LT_1:
         raise UsageError("saturation price applies to the nu < 1 regime only")
-    risk = s.pi_s + (1.0 - s.pi_s) * s.pi_c_star * (1.0 + s.theta)
-    ratio = risk * 2.0 * s.l_n / (s.alpha_n * s.q_star * s.p_star * s.nu)
+    ratio = _cap_risk(s) * 2.0 * s.l_n / (s.alpha_n * s.q_star * s.p_star * s.nu)
     p_sat = s.p_star * (1.0 - math.sqrt(ratio))
     return float(min(max(p_sat, 0.0), s.p_star))

@@ -28,12 +28,11 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .model import Scenario, net_surplus
+from .model import Scenario, _cap_risk, _powl, net_surplus
 
 __all__ = [
     "Regime",
     "SolutionStatus",
-    "DecisionCoefficients",
     "TradeoffSolution",
     "FeasibilityCondition",
     "FeasibilityReport",
@@ -74,14 +73,6 @@ class SolutionStatus(str, Enum):
 
 
 @dataclass(frozen=True)
-class DecisionCoefficients:
-    """Constants of the decision equation ``a*l**(nu-1) - pi_s - b*l**theta = 0``."""
-
-    a: float
-    b: float
-
-
-@dataclass(frozen=True)
 class TradeoffSolution:
     """Feasible optimum of the disclosure trade-off.
 
@@ -94,9 +85,9 @@ class TradeoffSolution:
     l_opt: float
     status: SolutionStatus
     surplus: float
-    critical_points: tuple
+    critical_points: tuple[float, ...]
     regime: Regime
-    bracket: tuple | None = None
+    bracket: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -111,15 +102,8 @@ class FeasibilityReport:
     """Existence and uniqueness conditions evaluated for one scenario."""
 
     regime: Regime
-    conditions: tuple
+    conditions: tuple[FeasibilityCondition, ...]
     guaranteed_unique: bool
-
-
-def _powl(x: float, e: float) -> float:
-    """x**e for x > 0 via exp/log, stable for extreme exponents."""
-    if x == 0.0:
-        return 0.0 if e > 0 else math.inf
-    return float(np.exp(e * np.log(x)))
 
 
 def _coefficients(s: Scenario) -> tuple:
@@ -129,8 +113,9 @@ def _coefficients(s: Scenario) -> tuple:
     return a, b
 
 
-def decision_coefficients(s: Scenario) -> DecisionCoefficients:
-    """Coefficients of the decision equation, both strictly positive.
+def decision_coefficients(s: Scenario) -> tuple:
+    """Coefficients ``(a, b)`` of the decision equation
+    ``a*l**(nu-1) - pi_s - b*l**theta = 0``, both strictly positive.
 
     Raises DegenerateScenarioError when ``price >= p_star``: demand is
     zero and the optimum is trivially ``l = 0``.
@@ -139,8 +124,7 @@ def decision_coefficients(s: Scenario) -> DecisionCoefficients:
         raise DegenerateScenarioError(
             f"price {s.price} >= willingness-to-pay {s.p_star}: demand is zero"
         )
-    a, b = _coefficients(s)
-    return DecisionCoefficients(a=a, b=b)
+    return _coefficients(s)
 
 
 def _gradient(s: Scenario, a: float, b: float, l: float) -> float:
@@ -186,7 +170,7 @@ def feasibility_report(s: Scenario) -> FeasibilityReport:
     """
     regime = classify_regime(s)
     margin2 = s.margin() ** 2
-    risk = s.pi_s + (1.0 - s.pi_s) * s.pi_c_star * (1.0 + s.theta)
+    risk = _cap_risk(s)
     if regime is Regime.NU_LT_1:
         return FeasibilityReport(regime=regime, conditions=(), guaranteed_unique=True)
     if regime in (Regime.SUBCASE_A, Regime.SUBCASE_B):

@@ -1,4 +1,8 @@
-"""Breach probability composition and the customer-side power law."""
+"""Breach probability composition and the customer-side power law.
+
+The breach parameters are validated by ``Scenario``; ``test_model.py``
+covers the remaining fields.
+"""
 
 import dataclasses
 
@@ -7,22 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privopt import (
-    BreachProfile,
     DomainError,
     ValidationError,
     combined_breach_probability,
     customer_breach_probability,
 )
+from privopt.cli import load_scenario
+from conftest import SCENARIO_DIR
 
-PROFILE = BreachProfile(pi_s=1e-4, pi_c_star=1e-4, theta=0.138647, l_n=10000.0)
+# the breach parameters pi_s = pi_c* = 1e-4, theta = 0.138647, l_n = 10000
+TABLE2 = load_scenario(str(SCENARIO_DIR / "table2.json")).scenario
 
 probabilities = st.floats(0.0, 1.0)
 
 
 class TestBreachProfile:
-    def test_from_scenario(self, table2):
-        bp = BreachProfile.from_scenario(table2)
-        assert bp == PROFILE
+    """The breach parameters (pi_s, pi_c*, theta, l_n) as a ``Scenario`` holds them."""
 
     @pytest.mark.parametrize(
         "field,value",
@@ -30,44 +34,44 @@ class TestBreachProfile:
     )
     def test_validation(self, field, value):
         with pytest.raises(ValidationError) as exc:
-            dataclasses.replace(PROFILE, **{field: value})
+            dataclasses.replace(TABLE2, **{field: value})
         assert exc.value.field == field
 
 
 class TestCustomerBreachProbability:
     def test_maximum_release(self):
-        assert customer_breach_probability(PROFILE, PROFILE.l_n) == pytest.approx(1e-4, rel=1e-12)
+        assert customer_breach_probability(TABLE2, TABLE2.l_n) == pytest.approx(1e-4, rel=1e-12)
 
     def test_nothing_disclosed(self):
-        assert customer_breach_probability(PROFILE, 0.0) == 0.0
+        assert customer_breach_probability(TABLE2, 0.0) == 0.0
 
     def test_reference_point(self):
         # 1e-4 * 0.3797**0.138647, frozen from the 50-digit reference
-        assert customer_breach_probability(PROFILE, 3797.0) == pytest.approx(
+        assert customer_breach_probability(TABLE2, 3797.0) == pytest.approx(
             8.7436084371e-5, abs=1e-9
         )
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            customer_breach_probability(PROFILE, -1.0)
+            customer_breach_probability(TABLE2, -1.0)
         with pytest.raises(DomainError):
-            customer_breach_probability(PROFILE, PROFILE.l_n * 1.001)
+            customer_breach_probability(TABLE2, TABLE2.l_n * 1.001)
 
     @given(frac=st.floats(0.0, 1.0), growth=st.floats(1.0, 10.0))
     @settings(max_examples=100, deadline=None)
     def test_nondecreasing_in_loss(self, frac, growth):
-        l = frac * PROFILE.l_n
-        l_hi = min(PROFILE.l_n, l * growth)
-        assert customer_breach_probability(PROFILE, l_hi) >= customer_breach_probability(PROFILE, l)
+        l = frac * TABLE2.l_n
+        l_hi = min(TABLE2.l_n, l * growth)
+        assert customer_breach_probability(TABLE2, l_hi) >= customer_breach_probability(TABLE2, l)
 
     @given(frac=st.floats(1e-6, 0.999), d_theta=st.floats(1e-3, 0.5))
     @settings(max_examples=100, deadline=None)
     def test_more_privacy_aware_means_lower_probability(self, frac, d_theta):
         # below the cap, a larger theta postpones the exposure
-        l = frac * PROFILE.l_n
-        careful = dataclasses.replace(PROFILE, theta=min(0.999, PROFILE.theta + d_theta))
-        if careful.theta > PROFILE.theta:
-            assert customer_breach_probability(careful, l) <= customer_breach_probability(PROFILE, l)
+        l = frac * TABLE2.l_n
+        careful = dataclasses.replace(TABLE2, theta=min(0.999, TABLE2.theta + d_theta))
+        if careful.theta > TABLE2.theta:
+            assert customer_breach_probability(careful, l) <= customer_breach_probability(TABLE2, l)
 
 
 class TestCombinedBreachProbability:

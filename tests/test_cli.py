@@ -1,6 +1,7 @@
 """Scenario files, command dispatch, report formats and exit codes."""
 
 import argparse
+import io
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from privopt.cli import (
     EXIT_VALIDATION,
     ReportBundle,
     load_scenario,
+    COMMANDS,
     main,
     render_report,
     run_command,
@@ -28,7 +30,7 @@ TABLE2 = str(SCENARIO_DIR / "table2.json")
 def make_args(**overrides):
     defaults = dict(
         out=None, format="json", grid=None, pmin=None, pmax=None,
-        points=None, seed=None, no_timestamp=True, benefit=None, loss=None,
+        points=None, no_timestamp=True, benefit=None, loss=None,
     )
     defaults.update(overrides)
     return argparse.Namespace(**defaults)
@@ -97,11 +99,23 @@ class TestLoadScenario:
         path = write_scenario(tmp_path, tornado=[["nu", "a", 0.2]])
         with pytest.raises(ValidationError):
             load_scenario(path)
+        for block, field in (
+            ({"sweep": {"points": float("nan")}}, "sweep.points"),
+            ({"sweep": {"points": float("inf")}}, "sweep.points"),
+            ({"sweep": {"points": 2.7}}, "sweep.points"),
+            ({"losses": [True, 2]}, "losses[0]"),
+            ({"q_star": 10**400}, "q_star"),  # an integer beyond the float range
+        ):
+            path = write_scenario(tmp_path, **block)
+            with pytest.raises(ValidationError) as exc:
+                load_scenario(path)
+            assert exc.value.field == field
+        assert main(["sweep-price", write_scenario(tmp_path, sweep={"points": float("nan")})]) == EXIT_VALIDATION
 
-    def test_seed_recorded_in_metadata(self, tmp_path):
-        out = tmp_path / "seeded.json"
-        assert main(["solve", TABLE2, "--seed", "7", "--no-timestamp", "--out", str(out)]) == EXIT_OK
-        assert json.loads(out.read_text())["metadata"]["seed"] == 7
+    def test_whole_float_points_accepted(self, tmp_path, capsys):
+        assert load_scenario(write_scenario(tmp_path, sweep={"points": 7.0})).sweep == {"points": 7.0}
+        assert main(["sweep-price", write_scenario(tmp_path, sweep={"points": 7.0})]) == EXIT_OK
+        assert "points            7" in capsys.readouterr().out
 
 
 class TestExitCodes:
@@ -145,6 +159,32 @@ class TestExitCodes:
         path = write_scenario(tmp_path, pi_s=0.0)
         assert main(["sweep-olr", path]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", TABLE2, "--seed", "7"],
+            ["solve", TABLE2, "--grid", "100"],
+            ["tornado", TABLE2, "--points", "5"],
+            ["oracle-check", TABLE2, "--pmin", "0.1"],
+            ["sweep-price", TABLE2, "--grid", "100"],
+            ["pareto-nu", "--benefit", "0.8", "--loss", "0.2", "--points", "5"],
+        ],
+    )
+    def test_unread_flag_is_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_only_read_flags(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        assert "--seed" not in text
+        assert ("--grid" in text) == (command == "oracle-check")
+        for flag in ("--pmin", "--pmax", "--points"):
+            assert (flag in text) == command.startswith("sweep-")
+        assert ("--benefit" in text) == (command == "pareto-nu")
+
 
 class TestCommands:
     def test_pareto_nu(self, capsys):
@@ -185,22 +225,38 @@ class TestCommands:
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln and not ln.startswith("(")]
         assert lines[0].split()[0] in ("pi_s", "pi_c_star")
 
+    def test_sweep_olr_with_zero_vulnerable_optimum_everywhere(self, tmp_path, capsys):
+        # nu == 1 with a large pi_s: l* = 0 at every grid price, so every OLR is undefined
+        path = write_scenario(tmp_path, nu=1.0, pi_s=0.5)
+        out = tmp_path / "olr.json"
+        assert main(["sweep-olr", path, "--points", "11", "--no-timestamp", "--out", str(out)]) == EXIT_OK
+        assert "olr range         undefined" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["sweep"]["olr"] == [None] * 11
+        assert doc["sweep"]["l_opt"] == [0.0] * 11
+
     def test_sweep_flags_override_grid(self, capsys):
         assert main(["sweep-price", TABLE2, "--pmin", "0.3", "--pmax", "0.6", "--points", "7"]) == EXIT_OK
         assert "points            7" in capsys.readouterr().out
 
 
 class TestReports:
-    def test_json_round_trip(self, table2_file):
-        import io
-
-        bundle = run_command("solve", table2_file, make_args(), out=io.StringIO())
-        payload = json.loads(json.dumps(bundle.to_dict(), sort_keys=True))
-        assert ReportBundle.from_dict(payload) == bundle
+    def test_json_round_trip(self, table1_file, table2_file):
+        # every command, so each report shape (solution, feasibility, sweep,
+        # tornado, summary only) goes through the decoder
+        for command in COMMANDS:
+            args = make_args(benefit=0.8, loss=0.2, grid=20001, points=31)
+            sf = None if command == "pareto-nu" else table1_file if command == "sweep-olr" else table2_file
+            bundle = run_command(command, sf, args, out=io.StringIO())
+            rendered = render_report(bundle, "json")
+            decoded = ReportBundle.from_dict(json.loads(rendered))
+            assert decoded == bundle, command
+            for part in ("scenario", "solution", "feasibility", "sweep", "tornado_pairs"):
+                # == alone accepts a str for a str-valued enum member
+                assert repr(getattr(decoded, part)) == repr(getattr(bundle, part)), command
+            assert render_report(decoded, "json") == rendered, command
 
     def test_sweep_round_trip(self, table1_file):
-        import io
-
         bundle = run_command("sweep-olr", table1_file, make_args(points=31), out=io.StringIO())
         payload = json.loads(json.dumps(bundle.to_dict(), sort_keys=True))
         assert ReportBundle.from_dict(payload) == bundle
@@ -239,8 +295,6 @@ class TestReports:
         assert pair_peaks == sorted(pair_peaks, reverse=True)
 
     def test_solve_csv_is_key_value(self, table2_file):
-        import io
-
         bundle = run_command("solve", table2_file, make_args(format="csv"), out=io.StringIO())
         text = render_report(bundle, "csv")
         lines = text.strip().splitlines()

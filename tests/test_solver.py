@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,24 +44,25 @@ SUBCASE_B_CLAMPED = Scenario(
 
 class TestDecisionCoefficients:
     def test_reference_values(self, table2):
-        coeff = decision_coefficients(table2)
+        coeff_a, coeff_b = decision_coefficients(table2)
         a, b = _oracle.coefficients(table2)
-        assert coeff.a == pytest.approx(float(a), rel=1e-13)
-        assert coeff.b == pytest.approx(float(b), rel=1e-13)
-        assert coeff.a == pytest.approx(0.24165873303, rel=1e-9)
-        assert coeff.b == pytest.approx(3.17510194943e-5, rel=1e-9)
+        assert coeff_a == pytest.approx(float(a), rel=1e-13)
+        assert coeff_b == pytest.approx(float(b), rel=1e-13)
+        assert coeff_a == pytest.approx(0.24165873303, rel=1e-9)
+        assert coeff_b == pytest.approx(3.17510194943e-5, rel=1e-9)
 
     def test_free_service_maximises_a(self, table2):
-        free = decision_coefficients(dataclasses.replace(table2, price=0.0))
-        assert free.a == pytest.approx(decision_coefficients(table2).a / table2.margin() ** 2)
-        assert free.b == decision_coefficients(table2).b
+        free_a, free_b = decision_coefficients(dataclasses.replace(table2, price=0.0))
+        a, b = decision_coefficients(table2)
+        assert free_a == pytest.approx(a / table2.margin() ** 2)
+        assert free_b == b
 
     def test_b_scales_with_provider_survival(self, table2):
         # b is linear in (1 - pi_s) and vanishes in the certain-breach limit
-        b_ref = decision_coefficients(table2).b / (1.0 - table2.pi_s)
+        b_ref = decision_coefficients(table2)[1] / (1.0 - table2.pi_s)
         for pi_s in (0.0, 0.3, 0.9, 1.0 - 1e-12):
-            coeff = decision_coefficients(dataclasses.replace(table2, pi_s=pi_s))
-            assert coeff.b == pytest.approx(b_ref * (1.0 - pi_s), rel=1e-12)
+            _, b = decision_coefficients(dataclasses.replace(table2, pi_s=pi_s))
+            assert b == pytest.approx(b_ref * (1.0 - pi_s), rel=1e-12)
 
     def test_degenerate_price_signals(self, table2):
         for price in (1.0, 1.5):
@@ -381,3 +383,22 @@ class TestRootRefinement:
         # the production path stays far below the 200-iteration budget
         sol = solve_tradeoff(table2)
         assert math.isfinite(sol.l_opt)
+
+
+#: Scenarios whose solve overflows exp() inside a power term (fuzzed, one
+#: per regime family); the overflow must come back as inf, never as a warning.
+OVERFLOWING = (
+    Scenario(q_star=0.18345106982305157, p_star=71358.03610533672, price=55799.926747397345, nu=1.0, theta=0.03221037166681712, alpha_n=0.3761016743133793, l_n=0.002656775889364076, pi_s=2.7800804090098796e-06, pi_c_star=1.1596106213758704e-07),
+    Scenario(q_star=0.03203514950709769, p_star=0.008008982865704794, price=0.005489001535192914, nu=1.2642252492018446, theta=0.2624341258049957, alpha_n=271.0441688464265, l_n=143.3346186387724, pi_s=2.2163049133303335e-11, pi_c_star=0.018115969184940007),
+    Scenario(q_star=4.360265347310971, p_star=285293.4716513339, price=24633.17857517632, nu=1.009374734840917, theta=0.034816880485012636, alpha_n=0.0046387341137077796, l_n=0.0019301485664158387, pi_s=2.8279609896490517e-12, pi_c_star=3.1360139301175764e-07),
+    Scenario(q_star=9271191.090899218, p_star=126.21019229083201, price=97.72538892546063, nu=0.961271092361063, theta=0.028483813637866853, alpha_n=224.63742664722167, l_n=0.011522362239316585, pi_s=1.662705720733861e-12, pi_c_star=7.809507810086862e-11),
+)
+
+
+class TestNoStrayWarnings:
+    @pytest.mark.parametrize("s", OVERFLOWING, ids=lambda s: classify_regime(s).value)
+    def test_power_overflow_is_silent(self, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve_tradeoff(s)
+        assert 0.0 <= sol.l_opt <= s.l_n
