@@ -465,7 +465,7 @@ def _cmd_solve_discrete(sf, args, out):
 
 def _cmd_oracle_check(sf, args, out):
     s = sf.scenario
-    n = int(args.grid or 1_000_000)
+    n = 1_000_000 if args.grid is None else args.grid
     sol = solve_tradeoff(s)
     grid_best = oracle_grid_argmax(s, n)
     tolerance = 2.0 * s.l_n / (n - 1)

@@ -50,6 +50,9 @@ __all__ = [
 DIMENSIONAL_FACTORS = ("q_star", "p_star", "price", "l_n")
 DIMENSIONLESS_FACTORS = ("nu", "theta", "pi_s", "pi_c_star")
 
+#: Largest price grid a sweep accepts; every point costs one full solve.
+MAX_SWEEP_POINTS = 10**5
+
 #: Factor, low perturbation, high perturbation.  Dimensional rows carry
 #: relative steps; dimensionless rows carry absolute replacement values.
 DEFAULT_TORNADO_PLAN = (
@@ -203,6 +206,8 @@ def default_price_grid(s: Scenario, pmin: float = 0.0, pmax: float | None = None
         pmax = 0.99 * s.p_star
     if points < 2:
         raise ValidationError("points", "need at least 2 grid points")
+    if points > MAX_SWEEP_POINTS:
+        raise ValidationError("points", f"grid is capped at {MAX_SWEEP_POINTS} points")
     if not 0 <= pmin < pmax:
         raise ValidationError("pmin", f"need 0 <= pmin < pmax, got [{pmin}, {pmax}]")
     if pmax >= s.p_star:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DegenerateScenarioError,
@@ -51,6 +50,10 @@ REGIME_TOL = 1e-12
 
 #: Iteration cap for root refinement; exceeding it raises NumericError.
 MAX_ITER = 200
+
+#: Largest grid the oracle evaluates; net_surplus allocates several float
+#: arrays of that length.
+MAX_ORACLE_POINTS = 10**7
 
 
 class Regime(str, Enum):
@@ -211,21 +214,68 @@ def construct_bracket(s: Scenario) -> tuple:
     return (l_l, l_u)
 
 
-def _find_root(f, lo: float, hi: float, maxiter: int = MAX_ITER) -> float:
-    """Bracketed root refinement (Brent); raises NumericError on failure."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
+# perfbench/tracing.py counts root calls by wrapping this module-global name.
+def brentq(f, lo: float, hi: float, maxiter: int = MAX_ITER) -> float:
+    """Root of ``f`` inside the sign-change bracket ``[lo, hi]`` (Brent's method).
+
+    A port of the classic C routine ``brentq.c`` (Brent 1973, ch. 4) with
+    ``xtol = max(1e-15*hi, 5e-324)`` and ``rtol = 1e-12``; it returns the
+    same bits as that routine, which the tests check.  A zero at an end
+    returns that end.  Raises NumericError when the ends share a sign
+    bit, when ``f`` returns NaN, or when ``maxiter`` iterations do not
+    converge.
+    """
+    xtol = max(1e-15 * hi, 5e-324)
+    rtol = 1e-12
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise NumericError(f"root bracket [{lo}, {hi}] has a NaN end value")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise NumericError(f"root bracket [{lo}, {hi}] does not change sign")
-    try:
-        return float(
-            brentq(f, lo, hi, xtol=max(1e-15 * hi, 5e-324), rtol=1e-12, maxiter=maxiter)
-        )
-    except RuntimeError as exc:
-        raise NumericError(f"root refinement failed to converge in {maxiter} iterations") from exc
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # fails the step test below, so bisects
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass  # IEEE division would give inf or NaN: bisect as well
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            # good short step
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise NumericError(f"root refinement met a NaN value at {xcur}")
+    raise NumericError(f"root refinement failed to converge in {maxiter} iterations")
 
 
 def _pick_argmax(s: Scenario, candidates) -> tuple:
@@ -288,8 +338,8 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
             root = l_u if s.pi_s == 0.0 else None
             if root is None:
                 try:
-                    root = _find_root(grad, s.l_n, max(l_u, s.l_n))
-                except (NumericError, OverflowError, ValueError):
+                    root = brentq(grad, s.l_n, max(l_u, s.l_n))
+                except (NumericError, OverflowError):
                     root = None  # legal root beyond floating range; cap still optimal
             points = (root,) if root is not None else ()
             return TradeoffSolution(
@@ -304,7 +354,7 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
             root = l_u
         else:
             hi = min(l_u, s.l_n)
-            root = hi if l_l >= hi else _find_root(grad, l_l, hi)
+            root = hi if l_l >= hi else brentq(grad, l_l, hi)
         return TradeoffSolution(
             l_opt=root,
             status=SolutionStatus.INTERIOR,
@@ -366,10 +416,10 @@ def _solve_subcase_a(s, a, b, grad, regime) -> TradeoffSolution:
         crossing = _powl(a / b, 1.0 / (s.theta + 1.0 - s.nu))
         if s.pi_s > 0.0:
             hi = _expand_until(grad, 2.0 * max(crossing, l_peak), 2.0, lambda g: g < 0.0, "bracket the descending root")
-            root_max = _find_root(grad, l_peak, hi)
+            root_max = brentq(grad, l_peak, hi)
             lo_guess = 0.5 * min(_powl(s.pi_s / a, 1.0 / (s.nu - 1.0)), l_peak)
             lo = _expand_until(grad, lo_guess, 0.5, lambda g: g < 0.0, "bracket the ascending root")
-            root_min = _find_root(grad, lo, l_peak)
+            root_min = brentq(grad, lo, l_peak)
             points = (root_min, root_max)
         else:
             # without a provider-side term the gradient is positive all the
@@ -419,7 +469,7 @@ def _solve_valley(s, a, b, grad, regime) -> TradeoffSolution:
                 _powl(2.0 * s.pi_s / a, 1.0 / (s.nu - 1.0)) if s.pi_s > 0 else l_valley,
             )
             hi = _expand_until(grad, start, 2.0, lambda g: g > 0.0, "bracket the rising root")
-            points = (_find_root(grad, l_valley, hi),)
+            points = (brentq(grad, l_valley, hi),)
         except (NumericError, OverflowError):
             points = ()  # stationary point beyond floating range
     l_opt, surplus = _pick_argmax(s, [0.0, s.l_n])
@@ -461,6 +511,8 @@ def oracle_grid_argmax(s: Scenario, n: int) -> float:
     """
     if n < 2:
         raise ValidationError("n", "grid needs at least 2 points")
+    if n > MAX_ORACLE_POINTS:
+        raise ValidationError("n", f"grid is capped at {MAX_ORACLE_POINTS} points")
     grid = np.linspace(0.0, s.l_n, int(n))
     values = net_surplus(s, grid)
     return float(grid[int(np.argmax(values))])

@@ -3,6 +3,9 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,7 +24,9 @@ from privopt.cli import (
     render_report,
     run_command,
 )
-from conftest import SCENARIO_DIR
+from privopt.sensitivity import MAX_SWEEP_POINTS
+from privopt.solver import MAX_ORACLE_POINTS
+from conftest import REPO_ROOT, SCENARIO_DIR
 
 TABLE1 = str(SCENARIO_DIR / "table1.json")
 TABLE2 = str(SCENARIO_DIR / "table2.json")
@@ -151,6 +156,26 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "oracle_grid_argmax", lambda s, n: 0.0)
         assert main(["oracle-check", TABLE2, "--grid", "10000"]) == EXIT_NUMERIC
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle-check", TABLE2, "--grid", "0"],
+            ["oracle-check", TABLE2, "--grid", "1"],
+            ["oracle-check", TABLE2, "--grid", "-5"],
+            ["oracle-check", TABLE2, "--grid", str(MAX_ORACLE_POINTS + 1)],
+            ["sweep-price", TABLE2, "--points", str(MAX_SWEEP_POINTS + 1)],
+        ],
+    )
+    def test_grid_size_out_of_range_is_validation_error(self, argv, capsys):
+        # the sizes above the caps are rejected before anything is allocated
+        assert main(argv) == EXIT_VALIDATION
+        assert "validation error" in capsys.readouterr().err
+
+    def test_sweep_points_block_is_capped(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, sweep={"points": MAX_SWEEP_POINTS + 1})
+        assert main(["sweep-olr", path]) == EXIT_VALIDATION
+        assert "points" in capsys.readouterr().err
+
     def test_unwritable_output(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "out.json"
         assert main(["solve", TABLE2, "--out", str(target)]) == EXIT_IO
@@ -184,6 +209,15 @@ class TestExitCodes:
         for flag in ("--pmin", "--pmax", "--points"):
             assert (flag in text) == command.startswith("sweep-")
         assert ("--benefit" in text) == (command == "pareto-nu")
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is a test-only reference; the package must run without it
+        code = "import privopt.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestCommands:

@@ -23,6 +23,7 @@ from privopt import (
     solve_tradeoff,
     tornado,
 )
+from privopt.sensitivity import MAX_SWEEP_POINTS
 
 DIMENSIONAL_PLAN = (
     ("q_star", -0.10, 0.10),
@@ -278,6 +279,9 @@ class TestDefaultGrid:
     def test_validation(self, table2):
         with pytest.raises(ValidationError):
             default_price_grid(table2, points=1)
+        with pytest.raises(ValidationError) as exc:
+            default_price_grid(table2, points=MAX_SWEEP_POINTS + 1)
+        assert exc.value.field == "points"
         with pytest.raises(ValidationError):
             default_price_grid(table2, pmin=0.5, pmax=0.4)
         with pytest.raises(ValidationError):

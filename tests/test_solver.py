@@ -6,6 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq as reference_brentq
 
 import _oracle
 from conftest import make_random_scenario
@@ -28,7 +31,7 @@ from privopt import (
     solve_tradeoff,
     surplus_gradient,
 )
-from privopt.solver import _find_root
+from privopt.solver import MAX_ORACLE_POINTS, _gradient, brentq
 
 # nu between 1 and 1+theta: gradient peaks, two stationary points, interior max
 SUBCASE_A_INTERIOR = Scenario(
@@ -39,6 +42,13 @@ SUBCASE_A_INTERIOR = Scenario(
 SUBCASE_B_CLAMPED = Scenario(
     q_star=1000.0, p_star=10.0, price=2.0, nu=1.8, theta=0.5,
     alpha_n=0.5, l_n=1e5, pi_s=1e-5, pi_c_star=1e-4,
+)
+# 1 < nu < 1 + theta with the descending root near 1e274: Brent's
+# extrapolation step divides by zero there, and must bisect instead
+SUBCASE_A_ZERO_STEP = Scenario(
+    q_star=1559.1363837963554, p_star=194.63393199203034, price=117.32744553135596,
+    nu=1.108574191501854, theta=0.13978560489920183, alpha_n=0.09441060866673744,
+    l_n=0.029088700437139053, pi_s=0.0015675339544854849, pi_c_star=0.0001904877208343742,
 )
 
 
@@ -353,6 +363,12 @@ class TestOracleGridArgmax:
         with pytest.raises(ValidationError):
             oracle_grid_argmax(table2, 1)
 
+    def test_grid_size_is_capped(self, table2):
+        # rejected before the grid is allocated
+        with pytest.raises(ValidationError) as exc:
+            oracle_grid_argmax(table2, MAX_ORACLE_POINTS + 1)
+        assert exc.value.field == "n"
+
     def test_quick_random_equivalence(self):
         # shortened version of the acceptance sweep: 30 scenarios, 200k grid
         rng = np.random.default_rng(2024)
@@ -369,20 +385,55 @@ class TestOracleGridArgmax:
 class TestRootRefinement:
     def test_nonconvergence_raises(self):
         with pytest.raises(NumericError):
-            _find_root(lambda x: x * x - 2.0, 0.0, 2.0, maxiter=1)
+            brentq(lambda x: x * x - 2.0, 0.0, 2.0, maxiter=1)
 
     def test_sign_preconditions(self):
         with pytest.raises(NumericError):
-            _find_root(lambda x: x + 1.0, 0.5, 2.0)
+            brentq(lambda x: x + 1.0, 0.5, 2.0)
 
     def test_endpoint_roots_short_circuit(self):
-        assert _find_root(lambda x: x - 0.5, 0.5, 2.0) == 0.5
-        assert _find_root(lambda x: x - 2.0, 0.5, 2.0) == 2.0
+        assert brentq(lambda x: x - 0.5, 0.5, 2.0) == 0.5
+        assert brentq(lambda x: x - 2.0, 0.5, 2.0) == 2.0
 
     def test_solver_caps_iterations(self, table2):
         # the production path stays far below the 200-iteration budget
         sol = solve_tradeoff(table2)
         assert math.isfinite(sol.l_opt)
+
+
+@st.composite
+def root_cases(draw):
+    """Decision-equation gradient of a random scenario, and a random bracket."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = make_random_scenario(rng, regime=draw(st.sampled_from(["lt1", "a", "b", "eq1", "eq1pt", None])))
+    lo, hi = sorted(s.l_n * 10.0 ** draw(st.floats(-300.0, 300.0)) for _ in range(2))
+    return s, lo, hi
+
+
+class TestBrentMatchesReference:
+    @given(case=root_cases(), maxiter=st.sampled_from([1, 2, 5, 200]))
+    @example(case=(SUBCASE_A_ZERO_STEP, 2.8831316817102125e270, 1.891397741285124e274), maxiter=200)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_scipy(self, case, maxiter):
+        s, lo, hi = case
+        a, b = decision_coefficients(s)
+        grad = lambda l: _gradient(s, a, b, l)  # noqa: E731
+        try:
+            want = reference_brentq(grad, lo, hi, xtol=max(1e-15 * hi, 5e-324), rtol=1e-12, maxiter=maxiter)
+        except (RuntimeError, ValueError):
+            with pytest.raises(NumericError):
+                brentq(grad, lo, hi, maxiter)
+            return
+        got = brentq(grad, lo, hi, maxiter)
+        assert got == want and repr(got) == repr(want)
+
+    def test_sign_test_reads_sign_bits(self):
+        # f(lo) * f(hi) underflows to 0 here; only the sign bits tell
+        f = lambda x: 1e-200 * x  # noqa: E731
+        with pytest.raises(ValueError):
+            reference_brentq(f, 1.0, 2.0)
+        with pytest.raises(NumericError):
+            brentq(f, 1.0, 2.0)
 
 
 #: Scenarios whose solve overflows exp() inside a power term (fuzzed, one
