@@ -31,7 +31,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from types import UnionType
@@ -78,19 +78,6 @@ from .solver import (
 )
 
 __all__ = ["ScenarioFile", "ReportBundle", "load_scenario", "run_command", "write_report", "main"]
-
-COMMANDS = (
-    "solve",
-    "feasibility",
-    "sweep-price",
-    "sweep-revenue",
-    "sweep-olr",
-    "tornado",
-    "secure",
-    "pareto-nu",
-    "solve-discrete",
-    "oracle-check",
-)
 
 SCENARIO_KEYS = (
     "q_star",
@@ -406,31 +393,15 @@ def _cmd_secure(sf, args, out):
         raw, clamped = secure_optimal_loss(s)
         summary["secure_l_raw"] = raw
         summary["secure_l_clamped"] = clamped
-        el = secure_elasticities(s) if s.price < s.p_star else None
-        if el is not None:
-            summary.update(
-                eps_q_star=el.eps_q_star,
-                eps_p_star=el.eps_p_star,
-                eps_l_n=el.eps_l_n,
-                eps_price=el.eps_price,
-            )
-        qe = secure_quasi_elasticities(s) if s.price < s.p_star else None
-        if qe is not None:
-            summary.update(
-                qeps_nu=qe.qeps_nu,
-                qeps_theta=qe.qeps_theta,
-                qeps_pi_c_star=qe.qeps_pi_c_star,
-            )
+        if s.price < s.p_star:
+            summary.update(asdict(secure_elasticities(s)), **asdict(secure_quasi_elasticities(s)))
     except ClosedFormInapplicableError:
         summary["secure_l_clamped"] = secure_feasible_loss(s)
         summary["closed_form"] = "inapplicable (nu >= 1 + theta); solver fallback used"
-    if s.pi_s > 0:
-        try:
-            summary["olr"] = optimal_loss_ratio(s)
-        except DomainError:
-            summary["olr"] = None
-    else:
-        summary["olr"] = 1.0
+    try:
+        summary["olr"] = optimal_loss_ratio(s)
+    except DomainError:
+        summary["olr"] = None
     for key, value in summary.items():
         if isinstance(value, float):
             out.write(f"{key:<18}{value:.6g}\n")
@@ -504,6 +475,7 @@ _HANDLERS = {
     "solve-discrete": _cmd_solve_discrete,
     "oracle-check": _cmd_oracle_check,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run_command(command: str, scenario_file: ScenarioFile | None, args, out=None) -> ReportBundle:
@@ -570,7 +542,7 @@ def _scalar_rows(bundle: ReportBundle):
         yield ["surplus", _format_csv_value(sol.surplus)]
         yield ["regime", sol.regime.value]
     for key, value in bundle.summary.items():
-        yield [key, _format_csv_value(value) if not isinstance(value, str) else value]
+        yield [key, _format_csv_value(value)]
 
 
 def render_report(bundle: ReportBundle, fmt: str) -> str:
@@ -602,8 +574,7 @@ def write_report(bundle: ReportBundle, fmt: str, path: str) -> None:
 
 
 class _UsageExit(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A command-line usage error raised in place of argparse's exit(2)."""
 
 
 class _Parser(argparse.ArgumentParser):

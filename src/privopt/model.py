@@ -287,6 +287,18 @@ def net_surplus(s: Scenario, l):
     return out if arr.ndim else float(out)
 
 
+def _coefficients(s: Scenario) -> tuple:
+    """Raw ``(a, b)`` of the decision gradient; a is 0 when the price kills the demand."""
+    a = 0.5 * s.q_star * s.p_star * s.nu * s.alpha_n * _powl(s.l_n, -s.nu) * s.margin() ** 2
+    b = (1.0 - s.pi_s) * s.pi_c_star * (s.theta + 1.0) * _powl(s.l_n, -s.theta)
+    return a, b
+
+
+def _gradient(s: Scenario, a: float, b: float, l):
+    """Decision gradient ``a*l**(nu-1) - pi_s - b*l**theta``; array-compatible in ``l``."""
+    return a * _powl(l, s.nu - 1.0) - s.pi_s - b * _powl(l, s.theta)
+
+
 def surplus_gradient(s: Scenario, l):
     """Analytic derivative of the net surplus with respect to the loss.
 
@@ -295,6 +307,7 @@ def surplus_gradient(s: Scenario, l):
         (q* p* nu / 2)(alpha_n / l_n) margin^2 (l/l_n)^(nu-1)
             - pi_s - pi_c* (1 - pi_s)(theta + 1)(l/l_n)^theta
 
+    evaluated as the decision gradient ``a*l**(nu-1) - pi_s - b*l**theta``.
     Diverges to +inf as ``l -> 0+`` when ``nu < 1``, hence the strictly
     positive domain.  Values above ``l_n`` are allowed; they describe the
     unconstrained surplus used when bracketing roots.  Array-compatible.
@@ -302,16 +315,7 @@ def surplus_gradient(s: Scenario, l):
     arr = np.asarray(l, dtype=np.float64)
     if np.any(arr <= 0):
         raise DomainError("loss must be > 0 (gradient may diverge at 0)")
-    ratio = arr / s.l_n
-    benefit = (
-        0.5 * s.q_star * s.p_star * s.nu
-        * (s.alpha_n / s.l_n)
-        * s.margin() ** 2
-        * _powl(ratio, s.nu - 1.0)
-    )
-    risk = s.pi_s + s.pi_c_star * (1.0 - s.pi_s) * (s.theta + 1.0) * _powl(ratio, s.theta)
-    out = benefit - risk
-    return out if arr.ndim else float(out)
+    return _gradient(s, *_coefficients(s), arr)
 
 
 def _cap_risk(s: Scenario) -> float:

@@ -146,11 +146,16 @@ def secure_quasi_elasticities(s) -> SecureQuasiElasticities:
         qeps_nu    =  k (1/nu + rho)
         qeps_theta = -k (rho + 1/(theta + 1))
         qeps_pi_c* = -k / pi_c*
+
+    Raises DomainError when ``price >= p_star`` or when ``l*`` underflows
+    to 0, where ``rho`` is undefined.
     """
     if s.price >= s.p_star:
         raise DomainError("quasi-elasticities require price < p_star")
     k = 1.0 / _exponent_denominator(s)
     raw, _ = secure_optimal_loss(s)
+    if raw == 0.0:
+        raise DomainError("quasi-elasticities undefined: the secure optimum underflows to 0")
     rho = math.log(raw / s.l_n)
     return SecureQuasiElasticities(
         qeps_nu=k * (1.0 / s.nu + rho),

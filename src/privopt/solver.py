@@ -27,7 +27,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .model import Scenario, _cap_risk, _powl, net_surplus
+from .model import Scenario, _cap_risk, _coefficients, _gradient, _powl, net_surplus
 
 __all__ = [
     "Regime",
@@ -109,13 +109,6 @@ class FeasibilityReport:
     guaranteed_unique: bool
 
 
-def _coefficients(s: Scenario) -> tuple:
-    """Raw (a, b); a is 0 when the price kills the demand."""
-    a = 0.5 * s.q_star * s.p_star * s.nu * s.alpha_n * _powl(s.l_n, -s.nu) * s.margin() ** 2
-    b = (1.0 - s.pi_s) * s.pi_c_star * (s.theta + 1.0) * _powl(s.l_n, -s.theta)
-    return a, b
-
-
 def decision_coefficients(s: Scenario) -> tuple:
     """Coefficients ``(a, b)`` of the decision equation
     ``a*l**(nu-1) - pi_s - b*l**theta = 0``, both strictly positive.
@@ -128,10 +121,6 @@ def decision_coefficients(s: Scenario) -> tuple:
             f"price {s.price} >= willingness-to-pay {s.p_star}: demand is zero"
         )
     return _coefficients(s)
-
-
-def _gradient(s: Scenario, a: float, b: float, l: float) -> float:
-    return a * _powl(l, s.nu - 1.0) - s.pi_s - b * _powl(l, s.theta)
 
 
 def normalized_gradient(s: Scenario, l: float) -> float:
@@ -278,17 +267,6 @@ def brentq(f, lo: float, hi: float, maxiter: int = MAX_ITER) -> float:
     raise NumericError(f"root refinement failed to converge in {maxiter} iterations")
 
 
-def _pick_argmax(s: Scenario, candidates) -> tuple:
-    """Argmax of net_surplus over candidate losses, ties toward smaller l."""
-    best_l = None
-    best_v = -math.inf
-    for l in sorted(set(candidates)):
-        v = net_surplus(s, l)
-        if v > best_v:
-            best_l, best_v = l, v
-    return best_l, best_v
-
-
 def _status_for(l_opt: float, l_n: float) -> SolutionStatus:
     if l_opt == 0.0:
         return SolutionStatus.AT_ZERO
@@ -300,7 +278,8 @@ def _status_for(l_opt: float, l_n: float) -> SolutionStatus:
 def solve_tradeoff(s: Scenario) -> TradeoffSolution:
     """Feasible optimum of the disclosure trade-off for one scenario.
 
-    Dispatches on the gradient regime:
+    Dispatches on the gradient regime to locate the stationary points and
+    the candidate losses:
 
     * ``nu < 1``: the gradient decreases monotonically, so the single
       root is refined inside the constructed bracket; a root at or past
@@ -313,83 +292,63 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
     * ``nu > 1 + theta`` (and the measure-zero boundary ``nu == 1 +
       theta``): the surplus has at most an interior minimum, so only the
       endpoints compete.
+
+    The optimum is the candidate with the largest net surplus, ties
+    going to the smaller loss, and its status follows from where it sits.
     """
     regime = classify_regime(s)
     a, b = _coefficients(s)
+    grad = lambda l: _gradient(s, a, b, l)  # noqa: E731
+    bracket = None
 
     if a == 0.0:
         # price at or above willingness-to-pay: only the loss term remains
-        return TradeoffSolution(
-            l_opt=0.0,
-            status=SolutionStatus.AT_ZERO,
-            surplus=net_surplus(s, 0.0),
-            critical_points=(),
-            regime=regime,
-            bracket=None,
-        )
-
-    grad = lambda l: _gradient(s, a, b, l)  # noqa: E731
-
-    if regime is Regime.NU_LT_1:
+        points, candidates = (), (0.0,)
+    elif regime is Regime.NU_LT_1:
         bracket = construct_bracket(s)
         l_l, l_u = bracket
         if grad(s.l_n) >= 0.0:
             # surplus still rising at the cap; the legal root lies beyond it
-            root = l_u if s.pi_s == 0.0 else None
-            if root is None:
-                try:
-                    root = brentq(grad, s.l_n, max(l_u, s.l_n))
-                except (NumericError, OverflowError):
-                    root = None  # legal root beyond floating range; cap still optimal
-            points = (root,) if root is not None else ()
-            return TradeoffSolution(
-                l_opt=s.l_n,
-                status=SolutionStatus.CLAMPED_AT_LN,
-                surplus=net_surplus(s, s.l_n),
-                critical_points=points,
-                regime=regime,
-                bracket=bracket,
-            )
-        if s.pi_s == 0.0:
-            root = l_u
+            candidates = (s.l_n,)
+            try:
+                points = (l_u if s.pi_s == 0.0 else brentq(grad, s.l_n, max(l_u, s.l_n)),)
+            except NumericError:
+                points = ()  # legal root beyond floating range; cap still optimal
         else:
-            hi = min(l_u, s.l_n)
-            root = hi if l_l >= hi else brentq(grad, l_l, hi)
-        return TradeoffSolution(
-            l_opt=root,
-            status=SolutionStatus.INTERIOR,
-            surplus=net_surplus(s, root),
-            critical_points=(root,),
-            regime=regime,
-            bracket=bracket,
-        )
-
-    if regime is Regime.NU_EQ_1:
+            if s.pi_s == 0.0:
+                root = l_u
+            else:
+                # l_l can underflow (or l_u overflow) so that the gradient
+                # is not yet positive there; it tends to +inf at 0+
+                lo = _expand_until(grad, l_l, 0.5, lambda g: g > 0.0, "bracket the root from below")
+                hi = min(l_u, s.l_n)
+                root = hi if lo >= hi else brentq(grad, lo, hi)
+            points, candidates = (root,), (root,)
+    elif regime is Regime.NU_EQ_1:
         if a <= s.pi_s:
-            return TradeoffSolution(
-                l_opt=0.0,
-                status=SolutionStatus.AT_ZERO,
-                surplus=net_surplus(s, 0.0),
-                critical_points=(),
-                regime=regime,
-                bracket=None,
-            )
-        root = _powl((a - s.pi_s) / b, 1.0 / s.theta)
-        l_opt = min(root, s.l_n)
-        return TradeoffSolution(
-            l_opt=l_opt,
-            status=_status_for(l_opt, s.l_n),
-            surplus=net_surplus(s, l_opt),
-            critical_points=(root,),
-            regime=regime,
-            bracket=None,
-        )
+            points, candidates = (), (0.0,)
+        else:
+            root = _powl((a - s.pi_s) / b, 1.0 / s.theta)
+            points, candidates = (root,), (min(root, s.l_n),)
+    elif regime is Regime.SUBCASE_A:
+        points, candidates = _solve_subcase_a(s, a, b, grad)
+    else:
+        # SUBCASE_B and the nu == 1 + theta boundary: endpoint comparison
+        points, candidates = _solve_valley(s, a, b, grad, regime)
 
-    if regime is Regime.SUBCASE_A:
-        return _solve_subcase_a(s, a, b, grad, regime)
-
-    # SUBCASE_B and the nu == 1 + theta boundary: endpoint comparison
-    return _solve_valley(s, a, b, grad, regime)
+    l_opt = surplus = None
+    for l in sorted(set(candidates)):
+        v = net_surplus(s, l)
+        if l_opt is None or v > surplus:
+            l_opt, surplus = l, v
+    return TradeoffSolution(
+        l_opt=l_opt,
+        status=_status_for(l_opt, s.l_n),
+        surplus=surplus,
+        critical_points=points,
+        regime=regime,
+        bracket=bracket,
+    )
 
 
 def _expand_until(f, start: float, factor: float, predicate, what: str) -> float:
@@ -404,56 +363,44 @@ def _expand_until(f, start: float, factor: float, predicate, what: str) -> float
     raise NumericError(f"could not {what} within {MAX_ITER} expansions")
 
 
-def _solve_subcase_a(s, a, b, grad, regime) -> TradeoffSolution:
-    """1 < nu < 1 + theta: gradient rises to a peak, then falls forever."""
+def _solve_subcase_a(s, a, b, grad) -> tuple:
+    """1 < nu < 1 + theta: gradient rises to a peak, then falls forever.
+
+    Returns ``(critical points, candidate losses)``.
+    """
     l_peak = _powl(a * (s.nu - 1.0) / (b * s.theta), 1.0 / (1.0 + s.theta - s.nu))
+    # not ``<= 0``: the gradient at a peak beyond floating range can be NaN
+    if not grad(l_peak) > 0.0:
+        return (), (0.0, s.l_n)
+    # two stationary points: a minimum left of the peak (present only when
+    # pi_s > 0 pulls the gradient negative near 0) and a maximum to its right
+    crossing = _powl(a / b, 1.0 / (s.theta + 1.0 - s.nu))
+    if s.pi_s == 0.0:
+        # without a provider-side term the gradient is positive all the way
+        # to the crossing of its two power terms, then negative: the surplus
+        # rises from 0, so the crossing (or the cap) is the maximum outright,
+        # even when the float surplus ties with S(0)
+        return (crossing,), (min(crossing, s.l_n),)
     points = ()
-    candidates = [0.0, s.l_n]
-    if grad(l_peak) > 0.0:
-        # two stationary points: a minimum left of the peak (present only
-        # when pi_s > 0 pulls the gradient negative near 0) and a maximum
-        # to its right
-        crossing = _powl(a / b, 1.0 / (s.theta + 1.0 - s.nu))
-        if s.pi_s > 0.0:
-            hi = _expand_until(grad, 2.0 * max(crossing, l_peak), 2.0, lambda g: g < 0.0, "bracket the descending root")
-            root_max = brentq(grad, l_peak, hi)
-            lo_guess = 0.5 * min(_powl(s.pi_s / a, 1.0 / (s.nu - 1.0)), l_peak)
-            lo = _expand_until(grad, lo_guess, 0.5, lambda g: g < 0.0, "bracket the ascending root")
-            root_min = brentq(grad, lo, l_peak)
-            points = (root_min, root_max)
-        else:
-            # without a provider-side term the gradient is positive all the
-            # way to the crossing of its two power terms, then negative: the
-            # surplus rises from 0, so the crossing (or the cap) is the
-            # maximum outright, even when the float surplus ties with S(0)
-            root_max = crossing
-            l_opt = min(root_max, s.l_n)
-            return TradeoffSolution(
-                l_opt=l_opt,
-                status=_status_for(l_opt, s.l_n),
-                surplus=net_surplus(s, l_opt),
-                critical_points=(root_max,),
-                regime=regime,
-                bracket=None,
-            )
-        if root_max < s.l_n:
-            candidates.append(root_max)
-    l_opt, surplus = _pick_argmax(s, candidates)
-    return TradeoffSolution(
-        l_opt=l_opt,
-        status=_status_for(l_opt, s.l_n),
-        surplus=surplus,
-        critical_points=points,
-        regime=regime,
-        bracket=None,
-    )
+    lo_guess = 0.5 * min(_powl(s.pi_s / a, 1.0 / (s.nu - 1.0)), l_peak)
+    try:
+        lo = _expand_until(grad, lo_guess, 0.5, lambda g: g < 0.0, "bracket the ascending root")
+        points = (brentq(grad, lo, l_peak),)
+    except NumericError:
+        pass  # a surplus minimum among subnormals, too close to 0 to refine
+    try:
+        hi = _expand_until(grad, 2.0 * max(crossing, l_peak), 2.0, lambda g: g < 0.0, "bracket the descending root")
+        root_max = brentq(grad, l_peak, hi)
+    except NumericError:
+        return points, (0.0, s.l_n)  # maximum beyond floating range, so beyond l_n
+    return points + (root_max,), (0.0, s.l_n, min(root_max, s.l_n))
 
 
-def _solve_valley(s, a, b, grad, regime) -> TradeoffSolution:
+def _solve_valley(s, a, b, grad, regime) -> tuple:
     """nu >= 1 + theta: the surplus dips to a single interior minimum.
 
-    The optimum is one of the endpoints; the stationary point is located
-    only to report it.
+    Returns ``(critical points, candidate losses)``: the optimum is one of
+    the endpoints, and the stationary point is located only to report it.
     """
     points = ()
     if regime is Regime.NU_EQ_1_PLUS_THETA:
@@ -470,17 +417,9 @@ def _solve_valley(s, a, b, grad, regime) -> TradeoffSolution:
             )
             hi = _expand_until(grad, start, 2.0, lambda g: g > 0.0, "bracket the rising root")
             points = (brentq(grad, l_valley, hi),)
-        except (NumericError, OverflowError):
-            points = ()  # stationary point beyond floating range
-    l_opt, surplus = _pick_argmax(s, [0.0, s.l_n])
-    return TradeoffSolution(
-        l_opt=l_opt,
-        status=_status_for(l_opt, s.l_n),
-        surplus=surplus,
-        critical_points=points,
-        regime=regime,
-        bracket=None,
-    )
+        except NumericError:
+            pass  # stationary point beyond floating range
+    return points, (0.0, s.l_n)
 
 
 def solve_discrete(s: Scenario, losses) -> tuple:

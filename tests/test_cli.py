@@ -41,6 +41,13 @@ def make_args(**overrides):
     return argparse.Namespace(**defaults)
 
 
+#: nu < 1 scenario whose vulnerable and secure optima underflow to 0
+UNDERFLOWING = {
+    "q_star": 0.001, "p_star": 0.001, "price": 0.0, "nu": 0.999, "theta": 0.01,
+    "alpha_n": 0.001, "l_n": 1e12, "pi_s": 0.01, "pi_c_star": 0.5,
+}
+
+
 def write_scenario(tmp_path, name="scenario.json", **overrides):
     data = json.loads((SCENARIO_DIR / "table2.json").read_text())
     data.update(overrides)
@@ -183,6 +190,21 @@ class TestExitCodes:
     def test_olr_sweep_on_secure_scenario_is_usage_error(self, tmp_path):
         path = write_scenario(tmp_path, pi_s=0.0)
         assert main(["sweep-olr", path]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "command, code, message",
+        [
+            ("tornado", EXIT_USAGE, "positive optimum"),
+            ("secure", EXIT_VALIDATION, "underflows to 0"),
+        ],
+    )
+    def test_underflowing_optimum_exits_cleanly(self, tmp_path, command, code, message, capsys):
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps(UNDERFLOWING))
+        assert main([command, str(path)]) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -11,6 +11,7 @@ from conftest import make_random_scenario
 from privopt import (
     ClosedFormInapplicableError,
     DomainError,
+    Scenario,
     optimal_loss_ratio,
     secure_elasticities,
     secure_feasible_loss,
@@ -177,6 +178,16 @@ class TestSecureQuasiElasticities:
         qe_high = secure_quasi_elasticities(dataclasses.replace(table2, price=0.995))
         assert qe_low.qeps_nu > 0
         assert qe_high.qeps_nu < 0
+
+    def test_underflowing_optimum_rejected(self):
+        # l* lies below the smallest subnormal, so rho = ln(l*/l_n) is undefined
+        s = Scenario(
+            q_star=0.001, p_star=0.001, price=0.0, nu=0.999, theta=0.01,
+            alpha_n=0.001, l_n=1e12, pi_s=0.01, pi_c_star=0.5,
+        )
+        assert secure_optimal_loss(s) == (0.0, 0.0)
+        with pytest.raises(DomainError, match="underflows"):
+            secure_quasi_elasticities(s)
 
     def test_pi_c_star_always_negative(self, table2):
         rng = np.random.default_rng(5)

@@ -50,6 +50,55 @@ SUBCASE_A_ZERO_STEP = Scenario(
     nu=1.108574191501854, theta=0.13978560489920183, alpha_n=0.09441060866673744,
     l_n=0.029088700437139053, pi_s=0.0015675339544854849, pi_c_star=0.0001904877208343742,
 )
+# nu < 1 with the optimum below the smallest subnormal: it rounds to 0
+UNDERFLOWING_OPTIMUM = Scenario(
+    q_star=0.001, p_star=0.001, price=0.0, nu=0.999, theta=0.01,
+    alpha_n=0.001, l_n=1e12, pi_s=0.01, pi_c_star=0.5,
+)
+#: Fuzzed scenarios the solver once failed on.  SUBCASE_A: the gradient
+#: peak lies beyond floating range, so the descending root cannot be
+#: bracketed (the maximum lies beyond l_n).  NU_LT_1: the constructed
+#: bracket's lower end underflows, or its upper end overflows, so the
+#: gradient is not yet positive at the lower end.
+STREAM_REGRESSIONS = (
+    Scenario(
+        q_star=224059491.72641215, p_star=252128.18246227346, price=150057.58274687576,
+        nu=1.001161604526682, theta=0.055994716489533664, alpha_n=0.0013265765806560893,
+        l_n=0.010727767688528888, pi_s=6.429919589995509e-12, pi_c_star=1.1654212050160441e-06,
+    ),
+    Scenario(
+        q_star=458.1580731151464, p_star=0.002253425616762832, price=0.0021943808265800645,
+        nu=0.9672563892831595, theta=0.8163876425022922, alpha_n=0.07616913339200948,
+        l_n=313340792.13421035, pi_s=0.004783832716485096, pi_c_star=4.493686353907115e-06,
+    ),
+    Scenario(
+        q_star=3.046343735485067, p_star=0.02240471989131694, price=0.0031755313744135203,
+        nu=0.9985919624574916, theta=0.01704008965005914, alpha_n=0.5689615278405733,
+        l_n=0.4392983712378937, pi_s=0.05436925608407635, pi_c_star=8.000244430015501e-12,
+    ),
+)
+
+# 1 < nu < 1 + theta with the gradient peak among the subnormals: Brent's
+# tolerance rounds to 0 there, so the ascending root cannot be refined
+SUBNORMAL_PEAK = Scenario(
+    q_star=10.0**-0.5, p_star=10.0**0.75, price=0.0, nu=1.003093645091285,
+    theta=0.024749160730280505, alpha_n=10.0**-0.25, l_n=10.0**6.625, pi_s=1e-08, pi_c_star=0.1,
+)
+
+
+def assert_oracle_optimal(s, sol, grid_points=257):
+    """No loss the oracle can check beats ``sol.l_opt`` by more than 1e-9 relative.
+
+    The checked losses are the critical points inside ``[0, l_n]`` and a
+    uniform grid, whose ends are 0 and ``l_n``; every surplus is the
+    50-digit mpmath value at the exact float loss.
+    """
+    assert 0.0 <= sol.l_opt <= s.l_n
+    losses = np.linspace(0.0, s.l_n, grid_points).tolist()
+    losses += [c for c in sol.critical_points if 0.0 <= c <= s.l_n]
+    best = max(_oracle.net_surplus(s, l) for l in losses)
+    got = _oracle.net_surplus(s, sol.l_opt)
+    assert got >= best - 1e-9 * abs(best), (s, sol, float(got), float(best))
 
 
 class TestDecisionCoefficients:
@@ -226,6 +275,12 @@ class TestSolveMonotoneRegime:
             clamped = sol.status is SolutionStatus.CLAMPED_AT_LN
             assert clamped == (surplus_gradient(s, s.l_n) >= 0.0)
 
+    def test_underflowing_optimum_is_at_zero(self):
+        for s in (UNDERFLOWING_OPTIMUM, dataclasses.replace(UNDERFLOWING_OPTIMUM, pi_s=0.0)):
+            sol = solve_tradeoff(s)
+            assert sol.l_opt == 0.0
+            assert sol.status is SolutionStatus.AT_ZERO
+
 
 class TestSolveNuEq1:
     def base(self, table2, l_n):
@@ -278,6 +333,20 @@ class TestSolvePeakRegime:
         sol = solve_tradeoff(s)
         assert sol.status is SolutionStatus.CLAMPED_AT_LN
         assert sol.l_opt == s.l_n
+
+    def test_peak_beyond_float_range_reports_no_stationary_point(self):
+        # the gradient peak lies beyond floating range, where the gradient
+        # is inf - inf = NaN; the surplus rises all the way to the cap
+        s = Scenario(
+            q_star=1131.2842333058932, p_star=73898.1347666623, price=7071.916330090833,
+            nu=1.5923123312867642, theta=0.613642119805105, alpha_n=203.61600917075435,
+            l_n=66624608847.47076, pi_s=0.0, pi_c_star=2.5919157689199097e-08,
+        )
+        assert math.isnan(surplus_gradient(s, math.inf))
+        sol = solve_tradeoff(s)
+        assert sol.status is SolutionStatus.CLAMPED_AT_LN
+        assert sol.critical_points == ()
+        assert_oracle_optimal(s, sol)
 
     def test_surplus_dominates_endpoints(self):
         sol = solve_tradeoff(SUBCASE_A_INTERIOR)
@@ -380,6 +449,59 @@ class TestOracleGridArgmax:
             step = s.l_n / 200_000
             assert abs(sol.l_opt - grid_best) <= 2 * step, (s, sol)
             assert sol.surplus >= net_surplus(s, grid_best) - 1e-9 * max(1.0, abs(sol.surplus))
+
+
+class TestStreamRegressions:
+    @pytest.mark.parametrize("s", STREAM_REGRESSIONS, ids=lambda s: classify_regime(s).value)
+    def test_solves_to_the_oracle_optimum(self, s):
+        assert_oracle_optimal(s, solve_tradeoff(s), grid_points=2001)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+@st.composite
+def fuzz_scenarios(draw):
+    """Scenarios over the solve-mix fuzz ranges, in all five regimes."""
+    regime = draw(st.sampled_from(list(Regime)))
+    theta = draw(st.floats(0.01, 0.99))
+    if regime is Regime.NU_LT_1:
+        nu = draw(_log_uniform(1e-3, 0.999))
+    elif regime is Regime.SUBCASE_A:
+        nu = 1.0 + theta * draw(st.floats(0.01, 0.99))
+    elif regime is Regime.SUBCASE_B:
+        nu = 1.0 + theta + draw(_log_uniform(1e-3, 9.0 - theta))
+    elif regime is Regime.NU_EQ_1:
+        nu = 1.0
+    else:
+        nu = 1.0 + theta
+    p_star = draw(_log_uniform(1e-3, 1e6))
+    return Scenario(
+        q_star=draw(_log_uniform(1e-3, 1e9)),
+        p_star=p_star,
+        price=p_star * draw(st.floats(0.0, 0.999)),
+        nu=nu,
+        theta=theta,
+        alpha_n=draw(_log_uniform(1e-3, 1e3)),
+        l_n=draw(_log_uniform(1e-3, 1e12)),
+        pi_s=draw(st.just(0.0) | _log_uniform(1e-12, 0.5)),
+        pi_c_star=draw(_log_uniform(1e-12, 0.5)),
+    )
+
+
+class TestOracleProperty:
+    @given(s=fuzz_scenarios())
+    @example(s=STREAM_REGRESSIONS[0])
+    @example(s=STREAM_REGRESSIONS[1])
+    @example(s=STREAM_REGRESSIONS[2])
+    @example(s=SUBNORMAL_PEAK)
+    @settings(max_examples=200, deadline=None)
+    def test_no_checked_loss_beats_the_solver(self, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve_tradeoff(s)
+        assert_oracle_optimal(s, sol)
 
 
 class TestRootRefinement:
