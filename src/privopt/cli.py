@@ -546,9 +546,16 @@ def _scalar_rows(bundle: ReportBundle):
 
 
 def render_report(bundle: ReportBundle, fmt: str) -> str:
-    """Serialize a bundle; JSON mirrors the bundle, CSV is tabular."""
+    """Serialize a bundle; JSON mirrors the bundle, CSV is tabular.
+
+    JSON is strict: a non-finite value raises NumericError (exit 4)
+    rather than being written as ``Infinity`` or ``NaN``.
+    """
     if fmt == "json":
-        return json.dumps(bundle.to_dict(), indent=2, sort_keys=True) + "\n"
+        try:
+            return json.dumps(bundle.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise NumericError(f"report holds a non-finite value ({exc})") from exc
     if fmt != "csv":
         raise UsageError(f"unknown format {fmt!r}")
     buf = io.StringIO()
@@ -563,7 +570,8 @@ def render_report(bundle: ReportBundle, fmt: str) -> str:
 
 
 def write_report(bundle: ReportBundle, fmt: str, path: str) -> None:
-    """Write the machine-readable artifact; OSError maps to exit 5."""
+    """Write the machine-readable artifact; OSError maps to exit 5 and a
+    non-finite JSON value to exit 4, before the file is opened."""
     text = render_report(bundle, fmt)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -652,6 +660,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"cannot write report: {exc}", file=sys.stderr)
             return EXIT_IO
+        except NumericError as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
     return EXIT_OK
 
 

@@ -14,16 +14,15 @@ the potential loss through a second power law, ``pi_c* (l / l_n)**theta``.
 
 All operations are pure functions of immutable values and accept scalars
 or numpy arrays where a loss or price argument is marked array-compatible.
-Power-law terms are evaluated in log domain, with the zero base handled
-separately, so extreme exponents neither underflow nor overflow.
+Scalars are evaluated with ``math``; numpy is imported only when an array
+arrives.  Power-law terms are evaluated in log domain, with the zero base
+handled separately, so extreme exponents neither underflow nor overflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, ValidationError
 
@@ -48,28 +47,56 @@ DISCRIMINANT_TOL = 1e-12
 
 
 def _powl(x, e: float):
-    """Power ``x**e`` in log domain for nonnegative ``x``, scalar or array.
+    """Power ``x**e`` in log domain for a nonnegative float or array ``x``.
 
     ``x == 0`` maps to the continuity limits: 0 for ``e > 0``, ``inf`` for
-    ``e < 0`` and 1 for ``e == 0``.  Both branches evaluate
-    ``np.exp(e * np.log(x))`` so scalar and vectorised callers agree bit
-    for bit; an overflowing ``exp`` returns ``inf`` without a warning.
+    ``e < 0`` and 1 for ``e == 0``, and ``e == 0`` gives 1 for every
+    ``x``.  Both branches evaluate ``exp(e * log(x))``, a float through
+    ``math`` and an array through numpy; the two ``exp`` implementations
+    may differ in the last bit.  An overflowing ``exp`` returns ``inf``
+    and a NaN base NaN, without an exception or a warning.
     """
     if isinstance(x, float):
-        if x == 0.0:
+        if x == 0.0 or e == 0.0:
             return 0.0 if e > 0 else math.inf if e < 0 else 1.0
-        y = e * np.log(x)
-        if y > 709.0:
-            with np.errstate(over="ignore"):
-                return float(np.exp(y))
-        return float(np.exp(y))
-    arr = np.asarray(x, dtype=np.float64)
+        try:
+            return math.exp(e * math.log(x))
+        except OverflowError:
+            return math.inf
+        except ValueError:  # negative base
+            return math.nan
+    import numpy as np
+
     if e == 0.0:
-        out = np.ones_like(arr)
-    else:
-        with np.errstate(divide="ignore", over="ignore"):
-            out = np.exp(e * np.log(arr))
-    return out if arr.ndim else float(out)
+        return np.ones_like(x, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(e * np.log(x))
+
+
+def _float_or_array(x):
+    """A number or 0-d array as a float, anything else as a float64 array.
+
+    Only the array branch imports numpy.
+    """
+    if isinstance(x, (int, float)):
+        return float(x)
+    import numpy as np
+
+    arr = np.asarray(x, dtype=np.float64)
+    return arr if arr.ndim else float(arr)
+
+
+def _any(flags) -> bool:
+    """A comparison of a float, or any element of a comparison of an array."""
+    return flags if isinstance(flags, bool) else bool(flags.any())
+
+
+def _in_loss_range(s: Scenario, l):
+    """``l`` through ``_float_or_array``, checked against ``[0, l_n]``."""
+    l = _float_or_array(l)
+    if _any(l < 0) or _any(l > s.l_n):
+        raise DomainError(f"loss must lie in [0, {s.l_n}]")
+    return l
 
 
 @dataclass(frozen=True)
@@ -119,6 +146,9 @@ class Scenario:
                 raise ValidationError(field, "must be finite")
             if not ok:
                 raise ValidationError(field, f"{msg} (got {value!r})")
+            if type(value) is not float:
+                # an int would send every power down _powl's array branch
+                object.__setattr__(self, field, float(value))
 
     def margin(self) -> float:
         """Relative price margin ``1 - price/p_star`` clamped at 0."""
@@ -172,11 +202,7 @@ def marginal_demand_factor(s: Scenario, l):
 
     Defined as 0 at ``l == 0`` by continuity.  Array-compatible in ``l``.
     """
-    arr = np.asarray(l, dtype=np.float64)
-    if np.any(arr < 0) or np.any(arr > s.l_n):
-        raise DomainError(f"loss must lie in [0, {s.l_n}]")
-    out = s.alpha_n * _powl(arr / s.l_n, s.nu)
-    return out if arr.ndim else float(out)
+    return s.alpha_n * _powl(_in_loss_range(s, l) / s.l_n, s.nu)
 
 
 def demand_quantity(s: Scenario, alpha: float, p):
@@ -187,11 +213,12 @@ def demand_quantity(s: Scenario, alpha: float, p):
     """
     if alpha < 0:
         raise DomainError("alpha must be >= 0")
-    arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr < 0):
+    p = _float_or_array(p)
+    if _any(p < 0):
         raise DomainError("price must be >= 0")
-    q = s.q_star * (1.0 + alpha) * np.maximum(0.0, 1.0 - arr / s.p_star)
-    return q if arr.ndim else float(q)
+    margin = 1.0 - p / s.p_star
+    margin = max(margin, 0.0) if isinstance(margin, float) else margin.clip(0.0)
+    return s.q_star * (1.0 + alpha) * margin
 
 
 def provider_revenue(s: Scenario, q2: float, alpha: float) -> float:
@@ -220,13 +247,13 @@ def valid_demand_region(s: Scenario, q1: float, alpha: float) -> ConsumptionRegi
         raise DomainError(f"q1 must lie strictly inside (0, {s.q_star})")
     if alpha <= 0:
         raise DomainError("alpha must be > 0")
-    customer = q1 * np.sqrt(1.0 + alpha)
+    customer = q1 * math.sqrt(1.0 + alpha)
     x = q1 / s.q_star
     disc = 1.0 - 4.0 * x * (1.0 - x) / (1.0 + alpha)
     if disc < -DISCRIMINANT_TOL:
         nan = float("nan")
         return ConsumptionRegion(nan, nan, float(customer), nan, nan)
-    root = np.sqrt(max(0.0, disc))
+    root = math.sqrt(max(0.0, disc))
     half = (1.0 + alpha) * s.q_star / 2.0
     provider_lower = half * (1.0 - root)
     provider_upper = half * (1.0 + root)
@@ -258,7 +285,7 @@ def pareto_privacy_parameter(benefit_fraction: float, loss_fraction: float) -> f
     for name, value in (("benefit_fraction", benefit_fraction), ("loss_fraction", loss_fraction)):
         if not 0.0 < value < 1.0:
             raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
-    return float(np.log(benefit_fraction) / np.log(loss_fraction))
+    return math.log(benefit_fraction) / math.log(loss_fraction)
 
 
 def net_surplus(s: Scenario, l):
@@ -273,18 +300,15 @@ def net_surplus(s: Scenario, l):
     where ``margin = max(0, 1 - price/p_star)``.  At ``l == 0`` this is
     exactly ``(p*q*/2) * margin**2``.  Array-compatible in ``l``.
     """
-    arr = np.asarray(l, dtype=np.float64)
-    if np.any(arr < 0) or np.any(arr > s.l_n):
-        raise DomainError(f"loss must lie in [0, {s.l_n}]")
-    ratio = arr / s.l_n
+    l = _in_loss_range(s, l)
+    ratio = l / s.l_n
     consumption = (
         0.5 * s.p_star * s.q_star
         * (1.0 + s.alpha_n * _powl(ratio, s.nu))
         * s.margin() ** 2
     )
-    expected_loss = (s.pi_s + s.pi_c_star * (1.0 - s.pi_s) * _powl(ratio, s.theta)) * arr
-    out = consumption - expected_loss
-    return out if arr.ndim else float(out)
+    expected_loss = (s.pi_s + s.pi_c_star * (1.0 - s.pi_s) * _powl(ratio, s.theta)) * l
+    return consumption - expected_loss
 
 
 def _coefficients(s: Scenario) -> tuple:
@@ -312,10 +336,10 @@ def surplus_gradient(s: Scenario, l):
     positive domain.  Values above ``l_n`` are allowed; they describe the
     unconstrained surplus used when bracketing roots.  Array-compatible.
     """
-    arr = np.asarray(l, dtype=np.float64)
-    if np.any(arr <= 0):
+    l = _float_or_array(l)
+    if _any(l <= 0):
         raise DomainError("loss must be > 0 (gradient may diverge at 0)")
-    return _gradient(s, *_coefficients(s), arr)
+    return _gradient(s, *_coefficients(s), l)
 
 
 def _cap_risk(s: Scenario) -> float:
@@ -333,11 +357,7 @@ def customer_breach_probability(s: Scenario, l):
     Nondecreasing in ``l``; equals ``pi_c*`` at maximum release and 0 when
     nothing is disclosed.  Array-compatible in ``l``.
     """
-    arr = np.asarray(l, dtype=np.float64)
-    if np.any(arr < 0) or np.any(arr > s.l_n):
-        raise DomainError(f"loss must lie in [0, {s.l_n}]")
-    out = s.pi_c_star * _powl(arr / s.l_n, s.theta)
-    return out if arr.ndim else float(out)
+    return s.pi_c_star * _powl(_in_loss_range(s, l) / s.l_n, s.theta)
 
 
 def combined_breach_probability(pi_s: float, pi_c: float) -> float:

@@ -71,8 +71,9 @@ def secure_optimal_loss(s) -> tuple:
     """Closed-form optimum under a breach-proof provider.
 
     ``pi_s`` in the scenario is ignored (treated as 0).  Returns the raw
-    closed-form value and its clamp to ``[0, l_n]``.  Raises
-    ClosedFormInapplicableError when ``nu >= 1 + theta``.
+    closed-form value (``inf`` when it overflows) and its clamp to
+    ``[0, l_n]``.  Raises ClosedFormInapplicableError when
+    ``nu >= 1 + theta``.
     """
     d = _exponent_denominator(s)
     margin = s.margin()
@@ -84,7 +85,10 @@ def secure_optimal_loss(s) -> tuple:
         + (s.theta - s.nu) * math.log(s.l_n)
         + 2.0 * math.log(margin)
     ) / d
-    raw = math.exp(log_raw)
+    try:
+        raw = math.exp(log_raw)
+    except OverflowError:
+        raw = math.inf
     return raw, min(raw, s.l_n)
 
 
@@ -148,7 +152,7 @@ def secure_quasi_elasticities(s) -> SecureQuasiElasticities:
         qeps_pi_c* = -k / pi_c*
 
     Raises DomainError when ``price >= p_star`` or when ``l*`` underflows
-    to 0, where ``rho`` is undefined.
+    to 0 or overflows, where ``rho`` is undefined.
     """
     if s.price >= s.p_star:
         raise DomainError("quasi-elasticities require price < p_star")
@@ -156,6 +160,8 @@ def secure_quasi_elasticities(s) -> SecureQuasiElasticities:
     raw, _ = secure_optimal_loss(s)
     if raw == 0.0:
         raise DomainError("quasi-elasticities undefined: the secure optimum underflows to 0")
+    if raw == math.inf:
+        raise DomainError("quasi-elasticities undefined: the secure optimum overflows")
     rho = math.log(raw / s.l_n)
     return SecureQuasiElasticities(
         qeps_nu=k * (1.0 / s.nu + rho),

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import numpy as np
-
 from .errors import DomainError, UsageError, ValidationError
 from .model import Scenario, _cap_risk, demand_quantity, marginal_demand_factor
 from .secure import secure_feasible_loss
@@ -201,7 +199,11 @@ def tornado(s: Scenario, plan) -> list:
 
 
 def default_price_grid(s: Scenario, pmin: float = 0.0, pmax: float | None = None, points: int = 201) -> tuple:
-    """Uniform price grid, by default 201 points on [0, 0.99 p_star]."""
+    """Uniform price grid, by default 201 points on [0, 0.99 p_star].
+
+    Point ``i`` is ``pmin + i*step`` and the last point is ``pmax``, the
+    same floats ``numpy.linspace`` gives.
+    """
     if pmax is None:
         pmax = 0.99 * s.p_star
     if points < 2:
@@ -212,7 +214,9 @@ def default_price_grid(s: Scenario, pmin: float = 0.0, pmax: float | None = None
         raise ValidationError("pmin", f"need 0 <= pmin < pmax, got [{pmin}, {pmax}]")
     if pmax >= s.p_star:
         raise ValidationError("pmax", f"must stay below p_star ({s.p_star})")
-    return tuple(float(x) for x in np.linspace(pmin, pmax, points))
+    pmin, pmax = float(pmin), float(pmax)
+    step = (pmax - pmin) / (points - 1)
+    return tuple(pmin + i * step for i in range(points - 1)) + (pmax,)
 
 
 def _check_grid(s: Scenario, grid) -> tuple:
@@ -258,7 +262,7 @@ def price_sweep(s: Scenario, grid) -> SweepSeries:
 def revenue_sweep(s: Scenario, grid) -> tuple:
     """Price sweep plus the grid price maximising provider revenue."""
     series = price_sweep(s, grid)
-    argmax_price = series.grid[int(np.argmax(series.revenue))]
+    argmax_price = series.grid[series.revenue.index(max(series.revenue))]
     return series, argmax_price
 
 

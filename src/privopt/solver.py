@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import (
     DegenerateScenarioError,
     NumericError,
@@ -81,8 +79,8 @@ class TradeoffSolution:
 
     ``critical_points`` lists the stationary points of the unconstrained
     surplus that the solver located (maxima or minima, possibly beyond
-    ``l_n``); ``bracket`` is the sign-change interval used in the
-    monotone regime.
+    ``l_n``, never beyond the float range); ``bracket`` is the
+    sign-change interval used in the monotone regime.
     """
 
     l_opt: float
@@ -158,7 +156,8 @@ def feasibility_report(s: Scenario) -> FeasibilityReport:
     ``nu > 1`` the reported bound is sufficient, not necessary: a unique
     solution requires the gradient to still be positive at ``l_n``, which
     caps ``l_n``.  For ``nu == 1`` existence and uniqueness of an interior
-    solution is equivalent to ``l_n`` lying inside an open band.
+    solution is equivalent to ``l_n`` lying inside an open band, which
+    has no upper edge when ``pi_s == 0``.
     """
     regime = classify_regime(s)
     margin2 = s.margin() ** 2
@@ -172,11 +171,10 @@ def feasibility_report(s: Scenario) -> FeasibilityReport:
     if regime is Regime.NU_EQ_1:
         base = (s.q_star * s.p_star / 2.0) * margin2 * s.alpha_n
         lower = base / risk
-        upper = base / s.pi_s if s.pi_s > 0 else math.inf
-        conditions = (
-            FeasibilityCondition("band_lower_edge", lower, s.l_n > lower),
-            FeasibilityCondition("band_upper_edge", upper, s.l_n < upper),
-        )
+        conditions = (FeasibilityCondition("band_lower_edge", lower, s.l_n > lower),)
+        if s.pi_s > 0:  # with pi_s == 0 the band has no upper edge
+            upper = base / s.pi_s
+            conditions += (FeasibilityCondition("band_upper_edge", upper, s.l_n < upper),)
         unique = all(c.satisfied for c in conditions)
         return FeasibilityReport(regime=regime, conditions=conditions, guaranteed_unique=unique)
     # nu == 1 + theta: no sufficient uniqueness condition is evaluated here
@@ -195,7 +193,11 @@ def construct_bracket(s: Scenario) -> tuple:
         raise UsageError("bracket construction applies to the nu < 1 regime only")
     if s.price >= s.p_star:
         raise DegenerateScenarioError("price >= p_star: gradient has no positive part")
-    a, b = _coefficients(s)
+    return _bracket(s, *_coefficients(s))
+
+
+def _bracket(s: Scenario, a: float, b: float) -> tuple:
+    """``construct_bracket`` for a checked ``nu < 1`` scenario with ``a > 0``."""
     l_u = _powl(a / b, 1.0 / (s.theta + 1.0 - s.nu))
     if s.pi_s == 0.0:
         return (l_u, l_u)
@@ -305,7 +307,7 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
         # price at or above willingness-to-pay: only the loss term remains
         points, candidates = (), (0.0,)
     elif regime is Regime.NU_LT_1:
-        bracket = construct_bracket(s)
+        bracket = _bracket(s, a, b)
         l_l, l_u = bracket
         if grad(s.l_n) >= 0.0:
             # surplus still rising at the cap; the legal root lies beyond it
@@ -345,7 +347,7 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
         l_opt=l_opt,
         status=_status_for(l_opt, s.l_n),
         surplus=surplus,
-        critical_points=points,
+        critical_points=tuple(p for p in points if math.isfinite(p)),
         regime=regime,
         bracket=bracket,
     )
@@ -452,6 +454,8 @@ def oracle_grid_argmax(s: Scenario, n: int) -> float:
         raise ValidationError("n", "grid needs at least 2 points")
     if n > MAX_ORACLE_POINTS:
         raise ValidationError("n", f"grid is capped at {MAX_ORACLE_POINTS} points")
+    import numpy as np
+
     grid = np.linspace(0.0, s.l_n, int(n))
     values = net_surplus(s, grid)
     return float(grid[int(np.argmax(values))])

@@ -1,14 +1,24 @@
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from privopt import Scenario
+from privopt import Regime, Scenario
 from privopt.cli import load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
+
+#: nu == 1 scenario whose closed-form stationary point and secure optimum
+#: overflow the float range
+OVERFLOWING_EQ1 = {
+    "q_star": 0.18345106982305157, "p_star": 71358.03610533672, "price": 55799.926747397345,
+    "nu": 1.0, "theta": 0.03221037166681712, "alpha_n": 0.3761016743133793,
+    "l_n": 0.002656775889364076, "pi_s": 2.7800804090098796e-06, "pi_c_star": 1.1596106213758704e-07,
+}
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -61,4 +71,37 @@ def make_random_scenario(rng: np.random.Generator, regime: str | None = None) ->
         l_n=float(rng.uniform(100.0, 1e5)),
         pi_s=float(10.0 ** rng.uniform(-6, -2)),
         pi_c_star=float(10.0 ** rng.uniform(-6, -2)),
+    )
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+@st.composite
+def fuzz_scenarios(draw):
+    """Scenarios over the solve-mix fuzz ranges, in all five regimes."""
+    regime = draw(st.sampled_from(list(Regime)))
+    theta = draw(st.floats(0.01, 0.99))
+    if regime is Regime.NU_LT_1:
+        nu = draw(_log_uniform(1e-3, 0.999))
+    elif regime is Regime.SUBCASE_A:
+        nu = 1.0 + theta * draw(st.floats(0.01, 0.99))
+    elif regime is Regime.SUBCASE_B:
+        nu = 1.0 + theta + draw(_log_uniform(1e-3, 9.0 - theta))
+    elif regime is Regime.NU_EQ_1:
+        nu = 1.0
+    else:
+        nu = 1.0 + theta
+    p_star = draw(_log_uniform(1e-3, 1e6))
+    return Scenario(
+        q_star=draw(_log_uniform(1e-3, 1e9)),
+        p_star=p_star,
+        price=p_star * draw(st.floats(0.0, 0.999)),
+        nu=nu,
+        theta=theta,
+        alpha_n=draw(_log_uniform(1e-3, 1e3)),
+        l_n=draw(_log_uniform(1e-3, 1e12)),
+        pi_s=draw(st.just(0.0) | _log_uniform(1e-12, 0.5)),
+        pi_c_star=draw(_log_uniform(1e-12, 0.5)),
     )

@@ -3,13 +3,15 @@
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from privopt import ValidationError
+from privopt import NumericError, ValidationError
+from privopt import cli
 from privopt.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
@@ -26,7 +28,7 @@ from privopt.cli import (
 )
 from privopt.sensitivity import MAX_SWEEP_POINTS
 from privopt.solver import MAX_ORACLE_POINTS
-from conftest import REPO_ROOT, SCENARIO_DIR
+from conftest import OVERFLOWING_EQ1, REPO_ROOT, SCENARIO_DIR
 
 TABLE1 = str(SCENARIO_DIR / "table1.json")
 TABLE2 = str(SCENARIO_DIR / "table2.json")
@@ -46,6 +48,13 @@ UNDERFLOWING = {
     "q_star": 0.001, "p_star": 0.001, "price": 0.0, "nu": 0.999, "theta": 0.01,
     "alpha_n": 0.001, "l_n": 1e12, "pi_s": 0.01, "pi_c_star": 0.5,
 }
+
+
+def strict_json(text):
+    """json.loads that rejects the non-standard Infinity, -Infinity and NaN."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -233,13 +242,48 @@ class TestExitCodes:
         assert ("--benefit" in text) == (command == "pareto-nu")
 
 
+def run_python(code, *argv):
+    """stdout of ``python -c code argv...`` with the package on the path."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
 class TestImport:
     def test_cli_import_loads_no_scipy(self):
         # scipy is a test-only reference; the package must run without it
         code = "import privopt.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[]"
+        assert run_python(code) == "[]"
+
+    def test_commands_load_no_numpy(self, tmp_path):
+        # numpy is imported only for arrays; oracle-check is the one command that builds them
+        argvs = [["pareto-nu", "--benefit", "0.8", "--loss", "0.2", "--out", str(tmp_path / "pareto-nu.json")]]
+        argvs += [
+            [command, TABLE2, "--no-timestamp", "--out", str(tmp_path / f"{command}.json")]
+            for command in COMMANDS if command not in ("pareto-nu", "oracle-check")
+        ]
+        code = (
+            "import json, sys\n"
+            "import privopt.cli\n"
+            "seen = [('import', 0, 'numpy' in sys.modules)]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    seen.append((argv[0], privopt.cli.main(argv), 'numpy' in sys.modules))\n"
+            "print(json.dumps(seen))\n"
+        )
+        seen = json.loads(run_python(code, json.dumps(argvs)).splitlines()[-1])
+        assert [name for name, _, _ in seen] == ["import"] + [argv[0] for argv in argvs]
+        assert all(code == EXIT_OK and not numpy for _, code, numpy in seen), seen
+
+    def test_int_scenario_is_float_and_solves_without_numpy(self):
+        code = (
+            "import sys, dataclasses, privopt\n"
+            "s = privopt.Scenario(q_star=250, p_star=1, price=0.5, nu=0.138647, theta=0.138647,\n"
+            "                     alpha_n=0.2, l_n=10000, pi_s=1e-4, pi_c_star=1e-4)\n"
+            "sol = privopt.solve_tradeoff(s)\n"
+            "print(sorted({type(getattr(s, f.name)).__name__ for f in dataclasses.fields(s)}),\n"
+            "      sol.status.value, round(sol.l_opt, 1), 'numpy' in sys.modules)\n"
+        )
+        assert run_python(code) == "['float'] INTERIOR 3796.9 False"
 
 
 class TestCommands:
@@ -357,6 +401,38 @@ class TestReports:
         assert lines[0] == "key,value"
         keys = {ln.split(",")[0] for ln in lines[1:]}
         assert {"l_opt", "status", "surplus", "regime"} <= keys
+
+    def test_reports_are_strict_json_on_overflowing_scenario(self, tmp_path):
+        # the closed-form stationary point and the raw secure optimum overflow to inf;
+        # neither may reach a report as Infinity, and no command may end in a traceback
+        path = write_scenario(tmp_path, losses=[0.001, 0.002], **OVERFLOWING_EQ1)
+        expected = {command: EXIT_OK for command in COMMANDS if command != "pareto-nu"}
+        expected["secure"] = EXIT_VALIDATION  # quasi-elasticities need a finite optimum
+        for command, code in expected.items():
+            out = tmp_path / f"{command}.json"
+            argv = [command, path, "--no-timestamp", "--out", str(out)]
+            if command == "oracle-check":
+                argv += ["--grid", "2001"]
+            assert main(argv) == code, command
+            if code == EXIT_OK:
+                doc = strict_json(out.read_text())
+                assert doc["command"] == command
+        solution = strict_json((tmp_path / "solve.json").read_text())["solution"]
+        assert solution["critical_points"] == []
+        assert solution["status"] == "CLAMPED_AT_LN"
+
+    def test_non_finite_report_value_exits_numeric(self, tmp_path, monkeypatch, capsys):
+        def handler(sf, args, out):
+            return ReportBundle(command="pareto-nu", summary={"nu": math.inf})
+
+        monkeypatch.setitem(cli._HANDLERS, "pareto-nu", handler)
+        out = tmp_path / "r.json"
+        argv = ["pareto-nu", "--benefit", "0.8", "--loss", "0.2", "--out", str(out)]
+        assert main(argv) == EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(NumericError):
+            render_report(handler(None, None, None), "json")
 
     def test_json_mirrors_solution_fields(self, tmp_path):
         out = tmp_path / "solve.json"

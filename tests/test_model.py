@@ -2,15 +2,16 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracle
 from _gradcheck import relative_gradient_error
-from conftest import make_random_scenario
+from conftest import fuzz_scenarios, make_random_scenario
 from privopt import (
     DemandPoint,
     DomainError,
@@ -25,6 +26,7 @@ from privopt import (
     surplus_gradient,
     valid_demand_region,
 )
+from privopt.model import _powl
 
 
 class TestScenarioValidation:
@@ -56,6 +58,13 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError) as exc:
             dataclasses.replace(table2, **{field: value})
         assert exc.value.field == field
+
+    def test_int_fields_stored_as_floats(self, table2):
+        s = Scenario(q_star=250, p_star=1, price=0.5, nu=0.138647, theta=0.138647,
+                     alpha_n=0.2, l_n=10000, pi_s=1e-4, pi_c_star=1e-4)
+        assert all(type(getattr(s, f.name)) is float for f in dataclasses.fields(s))
+        assert s == table2
+        assert repr(s) == repr(table2)
 
     def test_price_at_or_above_p_star_is_legal(self, table2):
         s = dataclasses.replace(table2, price=1.0)
@@ -293,3 +302,54 @@ class TestSurplusGradient:
         value = surplus_gradient(table2, 1e-300)
         assert math.isfinite(value) or value == math.inf
         assert value > 0
+
+
+def agree(x, y, scale=None, ulps=4):
+    """Equal non-finite values, or finite values within ``ulps`` units in
+    the last place of ``scale`` (default: the larger magnitude)."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return x == y or (math.isnan(x) and math.isnan(y))
+    if scale is None:
+        scale = max(abs(x), abs(y))
+    return abs(x - y) <= ulps * math.ulp(scale)
+
+
+#: Bases at the edges of the float range, and any other nonnegative float.
+POWER_BASES = st.sampled_from(
+    [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300, 1.7976931348623157e308, math.inf, math.nan]
+) | st.floats(min_value=0.0)
+#: Exponents the model raises to: nu, theta, their differences and
+#: reciprocals over the fuzz ranges, and exactly 0 (nu == 1 gives nu - 1 == 0).
+POWER_EXPONENTS = st.just(0.0) | st.floats(-1e12, 1e12)
+
+
+class TestScalarAndArrayPaths:
+    """The float branch runs in math, the array branch in numpy; their exp
+    implementations may differ in the last bit, never by more."""
+
+    @given(x=POWER_BASES, e=POWER_EXPONENTS)
+    @example(x=1e300, e=10.0)  # overflows to inf
+    @example(x=math.inf, e=0.0)
+    @example(x=math.nan, e=0.5)
+    @example(x=0.0, e=-0.5)
+    @settings(max_examples=500, deadline=None)
+    def test_power_branches_agree(self, x, e):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = _powl(x, e)
+            array = _powl(np.array([x]), e)
+        assert type(scalar) is float
+        assert agree(scalar, float(array[0])), (x, e, scalar, array)
+
+    @given(s=fuzz_scenarios(), frac=st.sampled_from([0.0, 5e-324, 1e-300, 1.0]) | st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_net_surplus_branches_agree(self, s, frac):
+        l = s.l_n * frac
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = net_surplus(s, l)
+            array = net_surplus(s, np.array([l, l]))
+        # both terms are rounded separately; their difference can cancel
+        scale = 0.5 * s.p_star * s.q_star * (1.0 + s.alpha_n) * s.margin() ** 2 + (s.pi_s + s.pi_c_star) * l
+        assert type(scalar) is float
+        assert all(agree(scalar, float(v), scale) for v in array), (s, l, scalar, array)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import _oracle
-from conftest import make_random_scenario
+from conftest import OVERFLOWING_EQ1, make_random_scenario
 from privopt import (
     ClosedFormInapplicableError,
     DomainError,
@@ -187,6 +187,14 @@ class TestSecureQuasiElasticities:
         )
         assert secure_optimal_loss(s) == (0.0, 0.0)
         with pytest.raises(DomainError, match="underflows"):
+            secure_quasi_elasticities(s)
+
+    def test_overflowing_optimum_rejected(self):
+        # the closed form exceeds the float range: inf, clamped to the cap, and no traceback
+        s = Scenario(**OVERFLOWING_EQ1)
+        assert secure_optimal_loss(s) == (math.inf, s.l_n)
+        assert secure_feasible_loss(s) == s.l_n
+        with pytest.raises(DomainError, match="overflows"):
             secure_quasi_elasticities(s)
 
     def test_pi_c_star_always_negative(self, table2):

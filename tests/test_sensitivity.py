@@ -3,7 +3,10 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from privopt import (
     DomainError,
@@ -275,6 +278,23 @@ class TestDefaultGrid:
         assert len(grid) == 201
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(0.99 * table2.p_star)
+
+    @given(
+        p_star=st.floats(1e-3, 1e6),
+        ends=st.lists(st.floats(0.0, 0.99), min_size=2, max_size=2, unique=True).map(sorted),
+        points=st.integers(2, 3000),
+    )
+    @example(p_star=1.0, ends=[0.0, 0.99], points=201)
+    @example(p_star=1.0, ends=[0.3, 0.6], points=7)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_numpy_linspace_bit_for_bit(self, table2, p_star, ends, points):
+        s = dataclasses.replace(table2, p_star=p_star)
+        pmin, pmax = (p_star * x for x in ends)
+        assume(pmin < pmax)
+        grid = default_price_grid(s, pmin=pmin, pmax=pmax, points=points)
+        want = np.linspace(pmin, pmax, points)
+        assert [x.hex() for x in grid] == [float(x).hex() for x in want]
+        assert all(type(x) is float for x in grid)
 
     def test_validation(self, table2):
         with pytest.raises(ValidationError):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq as reference_brentq
 
 import _oracle
-from conftest import make_random_scenario
+from conftest import fuzz_scenarios, make_random_scenario
 from privopt import (
     DegenerateScenarioError,
     NumericError,
@@ -171,6 +171,12 @@ class TestFeasibilityReport:
         assert upper.satisfied
         assert not rep.guaranteed_unique
 
+    def test_nu_eq_1_band_without_upper_edge(self, table2):
+        # with pi_s == 0 the band is open above: no infinite bound is reported
+        rep = feasibility_report(dataclasses.replace(table2, nu=1.0, l_n=1e5, pi_s=0.0))
+        assert [c.name for c in rep.conditions] == ["band_lower_edge"]
+        assert rep.guaranteed_unique
+
     def test_nu_eq_1_inside_band(self, table2):
         s = dataclasses.replace(table2, nu=1.0, l_n=5e4)
         rep = feasibility_report(s)
@@ -218,6 +224,12 @@ class TestConstructBracket:
     def test_regime_mismatch(self, table2):
         with pytest.raises(UsageError):
             construct_bracket(dataclasses.replace(table2, nu=1.5, theta=0.2))
+
+    def test_solver_reports_the_same_bracket(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            s = make_random_scenario(rng, regime="lt1")
+            assert solve_tradeoff(s).bracket == construct_bracket(s)
 
     def test_secure_bracket_collapses_on_root(self, table2):
         s = dataclasses.replace(table2, pi_s=0.0)
@@ -457,39 +469,6 @@ class TestStreamRegressions:
         assert_oracle_optimal(s, solve_tradeoff(s), grid_points=2001)
 
 
-def _log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
-
-
-@st.composite
-def fuzz_scenarios(draw):
-    """Scenarios over the solve-mix fuzz ranges, in all five regimes."""
-    regime = draw(st.sampled_from(list(Regime)))
-    theta = draw(st.floats(0.01, 0.99))
-    if regime is Regime.NU_LT_1:
-        nu = draw(_log_uniform(1e-3, 0.999))
-    elif regime is Regime.SUBCASE_A:
-        nu = 1.0 + theta * draw(st.floats(0.01, 0.99))
-    elif regime is Regime.SUBCASE_B:
-        nu = 1.0 + theta + draw(_log_uniform(1e-3, 9.0 - theta))
-    elif regime is Regime.NU_EQ_1:
-        nu = 1.0
-    else:
-        nu = 1.0 + theta
-    p_star = draw(_log_uniform(1e-3, 1e6))
-    return Scenario(
-        q_star=draw(_log_uniform(1e-3, 1e9)),
-        p_star=p_star,
-        price=p_star * draw(st.floats(0.0, 0.999)),
-        nu=nu,
-        theta=theta,
-        alpha_n=draw(_log_uniform(1e-3, 1e3)),
-        l_n=draw(_log_uniform(1e-3, 1e12)),
-        pi_s=draw(st.just(0.0) | _log_uniform(1e-12, 0.5)),
-        pi_c_star=draw(_log_uniform(1e-12, 0.5)),
-    )
-
-
 class TestOracleProperty:
     @given(s=fuzz_scenarios())
     @example(s=STREAM_REGRESSIONS[0])
@@ -566,6 +545,28 @@ OVERFLOWING = (
     Scenario(q_star=4.360265347310971, p_star=285293.4716513339, price=24633.17857517632, nu=1.009374734840917, theta=0.034816880485012636, alpha_n=0.0046387341137077796, l_n=0.0019301485664158387, pi_s=2.8279609896490517e-12, pi_c_star=3.1360139301175764e-07),
     Scenario(q_star=9271191.090899218, p_star=126.21019229083201, price=97.72538892546063, nu=0.961271092361063, theta=0.028483813637866853, alpha_n=224.63742664722167, l_n=0.011522362239316585, pi_s=1.662705720733861e-12, pi_c_star=7.809507810086862e-11),
 )
+
+
+#: Stationary points beyond the float range: the nu == 1 closed form and
+#: the pi_s == 0 crossing of SUBCASE_A (from the solve-mix stream).
+BEYOND_FLOAT_RANGE = (
+    OVERFLOWING[0],
+    Scenario(q_star=23275899.473856628, p_star=8744.683712868187, price=5597.025807116571, nu=1.0067914953752763, theta=0.04385947939323564, alpha_n=2.0599369135064034, l_n=692.4031011007011, pi_s=0.0, pi_c_star=6.572478641064213e-05),
+)
+
+
+class TestFiniteCriticalPoints:
+    @pytest.mark.parametrize("s", BEYOND_FLOAT_RANGE, ids=lambda s: classify_regime(s).value)
+    def test_overflowing_stationary_point_is_left_out(self, s):
+        sol = solve_tradeoff(s)
+        assert sol.critical_points == ()
+        assert sol.l_opt == s.l_n
+        assert sol.status is SolutionStatus.CLAMPED_AT_LN
+
+    @given(s=fuzz_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_critical_points_are_finite(self, s):
+        assert all(math.isfinite(p) for p in solve_tradeoff(s).critical_points)
 
 
 class TestNoStrayWarnings:
