@@ -318,6 +318,30 @@ def _coefficients(s: Scenario) -> tuple:
     return a, b
 
 
+def _log_product(*factors) -> float:
+    """``log`` of a product of positive floats, summed term by term only
+    when the product itself under- or overflows."""
+    p = math.prod(factors)
+    return math.log(p) if 0.0 < p < math.inf else math.fsum(map(math.log, factors))
+
+
+def _log_coefficients(s: Scenario) -> tuple:
+    """Logs ``(la, lb, lr)`` of the decision coefficients ``a`` and ``b``
+    and of ``a/b`` for a breach-proof provider (``pi_s = 0``).
+
+    They come from the logs of the parameters, so they stay finite where
+    ``a`` or ``b`` itself would under- or overflow.  ``lr / (theta - nu +
+    1)`` is the log of the crossing of the two power terms, which is the
+    secure closed-form optimum.  Needs ``price < p_star``.
+    """
+    log_k = _log_product(0.5, s.q_star, s.p_star, s.nu, s.alpha_n)
+    log_c = math.log(s.pi_c_star * (s.theta + 1.0))
+    log_ln, log_m2 = math.log(s.l_n), 2.0 * math.log(s.margin())
+    la = log_k + log_m2 - s.nu * log_ln
+    lb = log_c - s.theta * log_ln + math.log1p(-s.pi_s)
+    return la, lb, log_k - log_c + (s.theta - s.nu) * log_ln + log_m2
+
+
 def _gradient(s: Scenario, a: float, b: float, l):
     """Decision gradient ``a*l**(nu-1) - pi_s - b*l**theta``; array-compatible in ``l``."""
     return a * _powl(l, s.nu - 1.0) - s.pi_s - b * _powl(l, s.theta)

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ClosedFormInapplicableError, DomainError
+from .model import _log_coefficients
 from .solver import REGIME_TOL, solve_tradeoff
 
 __all__ = [
@@ -76,15 +77,9 @@ def secure_optimal_loss(s) -> tuple:
     ``nu >= 1 + theta``.
     """
     d = _exponent_denominator(s)
-    margin = s.margin()
-    if margin == 0.0:
+    if s.margin() == 0.0:
         return 0.0, 0.0
-    log_raw = (
-        math.log(0.5 * s.q_star * s.p_star * s.nu * s.alpha_n)
-        - math.log(s.pi_c_star * (s.theta + 1.0))
-        + (s.theta - s.nu) * math.log(s.l_n)
-        + 2.0 * math.log(margin)
-    ) / d
+    log_raw = _log_coefficients(s)[2] / d
     try:
         raw = math.exp(log_raw)
     except OverflowError:

@@ -1,14 +1,23 @@
 """Trade-off solver for the optimal potential loss.
 
 The first-order condition for an interior optimum is the decision
-equation ``A * l**(nu-1) - pi_s - B * l**theta = 0``.  The shape of its
-left side depends on where ``nu`` sits relative to 1 and ``1 + theta``,
-so the solver first classifies the regime, then applies the matching
-strategy: monotone bracketing and root refinement for ``nu < 1``, a
-closed form for ``nu == 1``, and peak or valley analysis plus endpoint
-comparison for ``nu > 1``.  In every regime the returned loss is the
-argmax of the net surplus over ``[0, l_n]``, ties broken toward the
-smaller loss.
+equation ``a * l**(nu-1) = pi_s + b * l**theta``.  The solver works on
+its log-ratio form in ``t = log l``::
+
+    h(t) = la + (nu-1) t - logaddexp(log pi_s, lb + theta t)
+
+where ``la = log a`` and ``lb = log b`` come straight from the scenario
+parameters, so every quantity stays finite however far the optimum sits
+from 1.  ``h`` has the sign of the surplus gradient, is concave, and its
+slope lies between ``nu-1-theta`` and ``nu-1``.  So each regime brackets
+its roots in closed form, with ``|h| >= 1`` at every bracket end, and
+refines each root by one Brent search in ``t``; or, for ``nu == 1``,
+``nu == 1 + theta`` and every ``pi_s == 0`` case, solves ``h = 0`` in
+closed form.  An absolute error in ``t`` is a relative error in ``l``:
+roots come out within about 1e-12 relative of the exact root, plus the
+rounding floor of ``h`` where a root is ill-conditioned.  In every regime
+the returned loss is the argmax of the net surplus over ``[0, l_n]``,
+ties broken toward the smaller loss.
 
 A brute-force grid oracle is included for validation only.
 """
@@ -16,6 +25,7 @@ A brute-force grid oracle is included for validation only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,7 +35,15 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .model import Scenario, _cap_risk, _coefficients, _gradient, _powl, net_surplus
+from .model import (
+    Scenario,
+    _cap_risk,
+    _coefficients,
+    _gradient,
+    _log_coefficients,
+    _powl,
+    net_surplus,
+)
 
 __all__ = [
     "Regime",
@@ -48,6 +66,13 @@ REGIME_TOL = 1e-12
 
 #: Iteration cap for root refinement; exceeding it raises NumericError.
 MAX_ITER = 200
+
+#: Absolute and relative tolerances of the root search in ``t = log l``.
+XTOL = 1e-13
+RTOL = 4 * sys.float_info.epsilon
+
+#: Largest ``t`` whose ``exp`` is finite.
+_T_MAX = math.log(sys.float_info.max)
 
 #: Largest grid the oracle evaluates; net_surplus allocates several float
 #: arrays of that length.
@@ -79,8 +104,10 @@ class TradeoffSolution:
 
     ``critical_points`` lists the stationary points of the unconstrained
     surplus that the solver located (maxima or minima, possibly beyond
-    ``l_n``, never beyond the float range); ``bracket`` is the
-    sign-change interval used in the monotone regime.
+    ``l_n``); ``bracket`` is the sign-change interval of the monotone
+    ``nu < 1`` regime.  Both hold positive finite floats only: a point
+    that under- or overflows the float range is left out, and so is a
+    bracket with such an end.
     """
 
     l_opt: float
@@ -181,28 +208,19 @@ def feasibility_report(s: Scenario) -> FeasibilityReport:
     return FeasibilityReport(regime=regime, conditions=(), guaranteed_unique=False)
 
 
-def construct_bracket(s: Scenario) -> tuple:
-    """Sign-change interval for the monotone (nu < 1) decision equation.
+def construct_bracket(s: Scenario) -> tuple | None:
+    """Sign-change interval ``(l_l, l_u)`` of the monotone (nu < 1) regime.
 
     The upper end solves ``a*l**(nu-1) = b*l**theta``; the lower end
     solves ``a*l**(nu-1) = a*l_u**(nu-1) + pi_s``, which forces the
     gradient positive there.  With ``pi_s == 0`` the interval collapses
-    onto the root itself.
+    onto the root itself.  None when an end lies outside the float range.
     """
     if classify_regime(s) is not Regime.NU_LT_1:
         raise UsageError("bracket construction applies to the nu < 1 regime only")
     if s.price >= s.p_star:
         raise DegenerateScenarioError("price >= p_star: gradient has no positive part")
-    return _bracket(s, *_coefficients(s))
-
-
-def _bracket(s: Scenario, a: float, b: float) -> tuple:
-    """``construct_bracket`` for a checked ``nu < 1`` scenario with ``a > 0``."""
-    l_u = _powl(a / b, 1.0 / (s.theta + 1.0 - s.nu))
-    if s.pi_s == 0.0:
-        return (l_u, l_u)
-    l_l = _powl(_powl(l_u, s.nu - 1.0) + s.pi_s / a, 1.0 / (s.nu - 1.0))
-    return (l_l, l_u)
+    return solve_tradeoff(s).bracket
 
 
 # perfbench/tracing.py counts root calls by wrapping this module-global name.
@@ -210,14 +228,11 @@ def brentq(f, lo: float, hi: float, maxiter: int = MAX_ITER) -> float:
     """Root of ``f`` inside the sign-change bracket ``[lo, hi]`` (Brent's method).
 
     A port of the classic C routine ``brentq.c`` (Brent 1973, ch. 4) with
-    ``xtol = max(1e-15*hi, 5e-324)`` and ``rtol = 1e-12``; it returns the
-    same bits as that routine, which the tests check.  A zero at an end
-    returns that end.  Raises NumericError when the ends share a sign
-    bit, when ``f`` returns NaN, or when ``maxiter`` iterations do not
-    converge.
+    ``xtol = XTOL`` and ``rtol = RTOL``; it returns the same bits as that
+    routine, which the tests check.  A zero at an end returns that end.
+    Raises NumericError when the ends share a sign bit, when ``f``
+    returns NaN, or when ``maxiter`` iterations do not converge.
     """
-    xtol = max(1e-15 * hi, 5e-324)
-    rtol = 1e-12
     xpre, xcur = float(lo), float(hi)
     fpre, fcur = float(f(xpre)), float(f(xcur))
     if math.isnan(fpre) or math.isnan(fcur):
@@ -236,7 +251,7 @@ def brentq(f, lo: float, hi: float, maxiter: int = MAX_ITER) -> float:
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (XTOL + RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -269,6 +284,22 @@ def brentq(f, lo: float, hi: float, maxiter: int = MAX_ITER) -> float:
     raise NumericError(f"root refinement failed to converge in {maxiter} iterations")
 
 
+def _logaddexp(x: float, y: float) -> float:
+    """``log(exp(x) + exp(y))`` without overflow; ``-inf`` is a zero term."""
+    hi, lo = (x, y) if x > y else (y, x)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def _exp(t: float) -> float:
+    """``exp(t)``, ``inf`` past the float range instead of OverflowError."""
+    return math.exp(t) if t <= _T_MAX else math.inf
+
+
+def _representable(l: float) -> bool:
+    """Whether a positive loss survived ``exp``: neither 0 nor ``inf``."""
+    return 0.0 < l < math.inf
+
+
 def _status_for(l_opt: float, l_n: float) -> SolutionStatus:
     if l_opt == 0.0:
         return SolutionStatus.AT_ZERO
@@ -280,63 +311,78 @@ def _status_for(l_opt: float, l_n: float) -> SolutionStatus:
 def solve_tradeoff(s: Scenario) -> TradeoffSolution:
     """Feasible optimum of the disclosure trade-off for one scenario.
 
-    Dispatches on the gradient regime to locate the stationary points and
-    the candidate losses:
+    Finds the roots of ``h`` (module docstring) in ``t = log l``:
 
-    * ``nu < 1``: the gradient decreases monotonically, so the single
-      root is refined inside the constructed bracket; a root at or past
-      ``l_n`` clamps the solution there.
+    * ``nu < 1``: ``h`` falls monotonically; its root lies between the
+      crossing ``t_u`` of the two power terms and the point ``t_l`` where
+      ``a*l**(nu-1) = a*l_u**(nu-1) + pi_s``.  A root at or past ``l_n``
+      clamps the solution there.
     * ``nu == 1``: closed form ``((a - pi_s)/b)**(1/theta)`` when
       ``a > pi_s``, else the surplus only decreases and 0 is optimal.
-    * ``1 < nu < 1 + theta``: the gradient rises to a peak then falls;
-      zero, one or two stationary points may exist and the surplus is
-      compared at every candidate including the endpoints.
-    * ``nu > 1 + theta`` (and the measure-zero boundary ``nu == 1 +
-      theta``): the surplus has at most an interior minimum, so only the
+    * ``1 < nu < 1 + theta``: ``h`` rises to a peak, then falls; when the
+      peak is positive, a surplus minimum lies left of it and a maximum
+      right of it, and the surplus is compared at every candidate
+      including the endpoints.
+    * ``nu > 1 + theta`` (and the boundary ``nu == 1 + theta``): ``h``
+      rises, so the surplus has at most an interior minimum and only the
       endpoints compete.
 
-    The optimum is the candidate with the largest net surplus, ties
-    going to the smaller loss, and its status follows from where it sits.
+    With ``pi_s == 0`` the only root outside ``nu == 1`` is the crossing
+    ``t_u``, which is also the secure closed form.  The optimum is the
+    candidate with the largest net surplus, ties going to the smaller
+    loss, and its status follows from where it sits.
     """
     regime = classify_regime(s)
-    a, b = _coefficients(s)
-    grad = lambda l: _gradient(s, a, b, l)  # noqa: E731
-    bracket = None
-
-    if a == 0.0:
+    roots, bracket = (), None
+    if s.margin() == 0.0:
         # price at or above willingness-to-pay: only the loss term remains
-        points, candidates = (), (0.0,)
-    elif regime is Regime.NU_LT_1:
-        bracket = _bracket(s, a, b)
-        l_l, l_u = bracket
-        if grad(s.l_n) >= 0.0:
-            # surplus still rising at the cap; the legal root lies beyond it
-            candidates = (s.l_n,)
-            try:
-                points = (l_u if s.pi_s == 0.0 else brentq(grad, s.l_n, max(l_u, s.l_n)),)
-            except NumericError:
-                points = ()  # legal root beyond floating range; cap still optimal
-        else:
-            if s.pi_s == 0.0:
-                root = l_u
-            else:
-                # l_l can underflow (or l_u overflow) so that the gradient
-                # is not yet positive there; it tends to +inf at 0+
-                lo = _expand_until(grad, l_l, 0.5, lambda g: g > 0.0, "bracket the root from below")
-                hi = min(l_u, s.l_n)
-                root = hi if lo >= hi else brentq(grad, lo, hi)
-            points, candidates = (root,), (root,)
-    elif regime is Regime.NU_EQ_1:
-        if a <= s.pi_s:
-            points, candidates = (), (0.0,)
-        else:
-            root = _powl((a - s.pi_s) / b, 1.0 / s.theta)
-            points, candidates = (root,), (min(root, s.l_n),)
-    elif regime is Regime.SUBCASE_A:
-        points, candidates = _solve_subcase_a(s, a, b, grad)
+        candidates = (0.0,)
     else:
-        # SUBCASE_B and the nu == 1 + theta boundary: endpoint comparison
-        points, candidates = _solve_valley(s, a, b, grad, regime)
+        la, lb, lr = _log_coefficients(s)
+        lp = math.log(s.pi_s) if s.pi_s > 0.0 else -math.inf
+        nu1, theta, d = s.nu - 1.0, s.theta, s.theta - s.nu + 1.0
+        h = lambda t: la + nu1 * t - _logaddexp(lp, lb + theta * t)  # noqa: E731
+        if regime is Regime.NU_EQ_1:
+            if la > lp:
+                roots = ((la + math.log(-math.expm1(lp - la)) - lb) / theta,)
+        elif regime is Regime.NU_EQ_1_PLUS_THETA:
+            # h = la - lb - log1p(pi_s / (b l**theta)) rises to la - lb
+            if la > lb and s.pi_s > 0.0:
+                roots = ((lp - la - math.log(-math.expm1(lb - la))) / theta,)
+        else:
+            # crossing of the two power terms, the only root when pi_s == 0;
+            # lr there makes it the secure closed form, bit for bit
+            t_u = t_l = (lr if s.pi_s == 0.0 else la - lb) / d
+            if s.pi_s == 0.0:
+                roots = (t_u,)  # h = lr - d*t
+            elif regime is Regime.SUBCASE_A:
+                t_peak = (lp + math.log(nu1 / d) - lb) / theta
+                if h(t_peak) > 0.0:
+                    # h <= la + (nu-1) t - log pi_s and h <= la - lb - d t
+                    roots = (
+                        brentq(h, (lp - la - 1.0) / nu1, t_peak),
+                        brentq(h, t_peak, t_u + 1.0 / d),
+                    )
+            elif regime is Regime.SUBCASE_B:
+                # h rises; by the same bounds (d < 0) h <= -1 below lo, and
+                # h >= la + (nu-1) t - max(log pi_s, lb + theta t) - log 2
+                # is at least 2 - log 2 above hi
+                lo = max((lp - la - 1.0) / nu1, t_u + 1.0 / d)
+                hi = max((lp - la + 2.0) / nu1, t_u - 2.0 / d)
+                roots = (brentq(h, lo, hi),)
+            else:
+                # h >= 1 left of t_l - 1/(1-nu) and h <= -1 right of t_u + 1/d
+                t_l = _logaddexp(nu1 * t_u, lp - la) / nu1
+                roots = (brentq(h, t_l + 1.0 / nu1, t_u + 1.0 / d),)
+            if regime is Regime.NU_LT_1:
+                bracket = (_exp(t_l), _exp(t_u))
+        if regime in (Regime.SUBCASE_B, Regime.NU_EQ_1_PLUS_THETA):
+            candidates = (0.0, s.l_n)  # the stationary point is a minimum
+        else:
+            # the last root is the maximum; without one the surplus falls
+            candidates = (min(_exp(roots[-1]), s.l_n),) if roots else (0.0,)
+            if regime is Regime.SUBCASE_A and s.pi_s > 0.0:
+                candidates += (0.0, s.l_n)
 
     l_opt = surplus = None
     for l in sorted(set(candidates)):
@@ -347,81 +393,10 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
         l_opt=l_opt,
         status=_status_for(l_opt, s.l_n),
         surplus=surplus,
-        critical_points=tuple(p for p in points if math.isfinite(p)),
+        critical_points=tuple(filter(_representable, map(_exp, roots))),
         regime=regime,
-        bracket=bracket,
+        bracket=bracket if bracket and all(map(_representable, bracket)) else None,
     )
-
-
-def _expand_until(f, start: float, factor: float, predicate, what: str) -> float:
-    """Scale ``start`` by ``factor`` until ``predicate(f(x))`` holds."""
-    x = start
-    for _ in range(MAX_ITER):
-        if predicate(f(x)):
-            return x
-        x *= factor
-        if not math.isfinite(x) or x == 0.0:
-            break
-    raise NumericError(f"could not {what} within {MAX_ITER} expansions")
-
-
-def _solve_subcase_a(s, a, b, grad) -> tuple:
-    """1 < nu < 1 + theta: gradient rises to a peak, then falls forever.
-
-    Returns ``(critical points, candidate losses)``.
-    """
-    l_peak = _powl(a * (s.nu - 1.0) / (b * s.theta), 1.0 / (1.0 + s.theta - s.nu))
-    # not ``<= 0``: the gradient at a peak beyond floating range can be NaN
-    if not grad(l_peak) > 0.0:
-        return (), (0.0, s.l_n)
-    # two stationary points: a minimum left of the peak (present only when
-    # pi_s > 0 pulls the gradient negative near 0) and a maximum to its right
-    crossing = _powl(a / b, 1.0 / (s.theta + 1.0 - s.nu))
-    if s.pi_s == 0.0:
-        # without a provider-side term the gradient is positive all the way
-        # to the crossing of its two power terms, then negative: the surplus
-        # rises from 0, so the crossing (or the cap) is the maximum outright,
-        # even when the float surplus ties with S(0)
-        return (crossing,), (min(crossing, s.l_n),)
-    points = ()
-    lo_guess = 0.5 * min(_powl(s.pi_s / a, 1.0 / (s.nu - 1.0)), l_peak)
-    try:
-        lo = _expand_until(grad, lo_guess, 0.5, lambda g: g < 0.0, "bracket the ascending root")
-        points = (brentq(grad, lo, l_peak),)
-    except NumericError:
-        pass  # a surplus minimum among subnormals, too close to 0 to refine
-    try:
-        hi = _expand_until(grad, 2.0 * max(crossing, l_peak), 2.0, lambda g: g < 0.0, "bracket the descending root")
-        root_max = brentq(grad, l_peak, hi)
-    except NumericError:
-        return points, (0.0, s.l_n)  # maximum beyond floating range, so beyond l_n
-    return points + (root_max,), (0.0, s.l_n, min(root_max, s.l_n))
-
-
-def _solve_valley(s, a, b, grad, regime) -> tuple:
-    """nu >= 1 + theta: the surplus dips to a single interior minimum.
-
-    Returns ``(critical points, candidate losses)``: the optimum is one of
-    the endpoints, and the stationary point is located only to report it.
-    """
-    points = ()
-    if regime is Regime.NU_EQ_1_PLUS_THETA:
-        # gradient is (a - b) * l**theta - pi_s
-        if a > b and s.pi_s > 0.0:
-            points = (_powl(s.pi_s / (a - b), 1.0 / s.theta),)
-    else:
-        l_valley = _powl(b * s.theta / (a * (s.nu - 1.0)), 1.0 / (s.nu - 1.0 - s.theta))
-        try:
-            start = 2.0 * max(
-                l_valley,
-                _powl(2.0 * b / a, 1.0 / (s.nu - 1.0 - s.theta)),
-                _powl(2.0 * s.pi_s / a, 1.0 / (s.nu - 1.0)) if s.pi_s > 0 else l_valley,
-            )
-            hi = _expand_until(grad, start, 2.0, lambda g: g > 0.0, "bracket the rising root")
-            points = (brentq(grad, l_valley, hi),)
-        except NumericError:
-            pass  # stationary point beyond floating range
-    return points, (0.0, s.l_n)
 
 
 def solve_discrete(s: Scenario, losses) -> tuple:

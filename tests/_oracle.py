@@ -14,15 +14,15 @@ mp.mp.dps = 50
 def _m(s):
     """Scenario fields as mpmath numbers."""
     return {
-        "q": mp.mpf(repr(s.q_star)),
-        "pstar": mp.mpf(repr(s.p_star)),
-        "p": mp.mpf(repr(s.price)),
-        "nu": mp.mpf(repr(s.nu)),
-        "th": mp.mpf(repr(s.theta)),
-        "aN": mp.mpf(repr(s.alpha_n)),
-        "lN": mp.mpf(repr(s.l_n)),
-        "pis": mp.mpf(repr(s.pi_s)),
-        "pic": mp.mpf(repr(s.pi_c_star)),
+        "q": mp.mpf(s.q_star),
+        "pstar": mp.mpf(s.p_star),
+        "p": mp.mpf(s.price),
+        "nu": mp.mpf(s.nu),
+        "th": mp.mpf(s.theta),
+        "aN": mp.mpf(s.alpha_n),
+        "lN": mp.mpf(s.l_n),
+        "pis": mp.mpf(s.pi_s),
+        "pic": mp.mpf(s.pi_c_star),
     }
 
 
@@ -35,7 +35,7 @@ def coefficients(s):
 
 def net_surplus(s, l):
     v = _m(s)
-    l = mp.mpf(repr(float(l)))
+    l = mp.mpf(float(l))
     ratio = l / v["lN"]
     margin = max(mp.mpf(0), 1 - v["p"] / v["pstar"])
     cons = (v["pstar"] * v["q"] / 2) * (1 + v["aN"] * ratio ** v["nu"]) * margin**2
@@ -46,7 +46,7 @@ def net_surplus(s, l):
 def gradient(s, l):
     a, b = coefficients(s)
     v = _m(s)
-    l = mp.mpf(repr(float(l)))
+    l = mp.mpf(float(l))
     return a * l ** (v["nu"] - 1) - v["pis"] - b * l ** v["th"]
 
 
@@ -87,10 +87,55 @@ def nu_eq_1_band(s):
 
 def region_bounds(s, q1, alpha):
     v = _m(s)
-    q1 = mp.mpf(repr(float(q1)))
-    alpha = mp.mpf(repr(float(alpha)))
+    q1 = mp.mpf(float(q1))
+    alpha = mp.mpf(float(alpha))
     customer = q1 * mp.sqrt(1 + alpha)
     x = q1 / v["q"]
     disc = 1 - 4 * x * (1 - x) / (1 + alpha)
     half = (1 + alpha) * v["q"] / 2
     return customer, half * (1 - mp.sqrt(disc)), half * (1 + mp.sqrt(disc))
+
+
+def log_gradient(s):
+    """The decision equation in ``t = log l``: ``log a + (nu-1) t - log(pi_s + b e^(theta t))``.
+
+    It has the sign of the gradient at ``l = e^t``.
+    """
+    a, b = coefficients(s)
+    v = _m(s)
+    la = mp.log(a)
+    return lambda t: la + (v["nu"] - 1) * t - mp.log(v["pis"] + b * mp.exp(v["th"] * t))
+
+
+def log_root(s, t, reach=1e4):
+    """Root of ``log_gradient(s)`` nearest to ``t``, or None within ``reach``.
+
+    A bracket around ``t`` doubles until ``h`` changes sign across it, then
+    bisection narrows it to 1e-40 relative.
+    """
+    h = log_gradient(s)
+    t = mp.mpf(t)
+    positive = h(t) > 0
+    width = mp.mpf("1e-15") * (1 + abs(t))
+    while width < reach:
+        for end in (t - width, t + width):
+            if (h(end) > 0) != positive:
+                lo, hi = sorted((t, end))
+                lo_positive = h(lo) > 0
+                while hi - lo > mp.mpf("1e-40") * (1 + abs(lo)):
+                    mid = (lo + hi) / 2
+                    if (h(mid) > 0) == lo_positive:
+                        lo = mid
+                    else:
+                        hi = mid
+                return (lo + hi) / 2
+        width *= 2
+    return None
+
+
+def log_slope(s, t):
+    """``h'(t) = (nu-1) - theta * b e^(theta t) / (pi_s + b e^(theta t))``."""
+    _, b = coefficients(s)
+    v = _m(s)
+    term = b * mp.exp(v["th"] * t)
+    return (v["nu"] - 1) - v["th"] * term / (v["pis"] + term)

@@ -20,6 +20,22 @@ OVERFLOWING_EQ1 = {
     "l_n": 0.002656775889364076, "pi_s": 2.7800804090098796e-06, "pi_c_star": 1.1596106213758704e-07,
 }
 
+#: nu < 1 scenario whose interior optimum, about 1.25e-155, lies far
+#: below 1e-15 * l_n
+TINY_OPTIMUM = {
+    "q_star": 1.8914349830004606, "p_star": 0.001537553605814018, "price": 0.0013650972978315207,
+    "nu": 0.9969949829655298, "theta": 0.08982373193749633, "alpha_n": 20.415041999061355,
+    "l_n": 211.37902726043495, "pi_s": 5.2280625323723845e-06, "pi_c_star": 1.5490428352287146e-09,
+}
+
+#: nu < 1 scenario whose sign-change bracket, taken in l, overflows at
+#: both ends
+OVERFLOWING_BRACKET = {
+    "q_star": 2201058.291213537, "p_star": 29.39653141696172, "price": 11.034473662568898,
+    "nu": 0.9950797703463562, "theta": 0.0298835291210637, "alpha_n": 14.115660097012189,
+    "l_n": 0.003373750913214507, "pi_s": 9.184858018898177e-11, "pi_c_star": 0.1920224942206975,
+}
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 

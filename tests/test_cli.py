@@ -1,16 +1,20 @@
 """Scenario files, command dispatch, report formats and exit codes."""
 
 import argparse
+import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
 
-from privopt import NumericError, ValidationError
+from privopt import NumericError, Scenario, ValidationError
 from privopt import cli
 from privopt.cli import (
     EXIT_IO,
@@ -28,7 +32,7 @@ from privopt.cli import (
 )
 from privopt.sensitivity import MAX_SWEEP_POINTS
 from privopt.solver import MAX_ORACLE_POINTS
-from conftest import OVERFLOWING_EQ1, REPO_ROOT, SCENARIO_DIR
+from conftest import OVERFLOWING_BRACKET, OVERFLOWING_EQ1, REPO_ROOT, SCENARIO_DIR, TINY_OPTIMUM, fuzz_scenarios
 
 TABLE1 = str(SCENARIO_DIR / "table1.json")
 TABLE2 = str(SCENARIO_DIR / "table2.json")
@@ -433,6 +437,46 @@ class TestReports:
         assert not out.exists()
         with pytest.raises(NumericError):
             render_report(handler(None, None, None), "json")
+
+    @given(s=fuzz_scenarios())
+    @example(s=Scenario(**OVERFLOWING_BRACKET))
+    @example(s=Scenario(**OVERFLOWING_EQ1))
+    @settings(max_examples=40, deadline=None)
+    def test_every_report_is_strict_json(self, s):
+        # every scenario command either exits cleanly with a report that
+        # strict JSON accepts or names the scenario invalid for it (exit 1
+        # or 3); solve always succeeds
+        doc = dict(dataclasses.asdict(s), losses=[s.l_n / 4, s.l_n / 2])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scenario.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            for command in COMMANDS:
+                if command == "pareto-nu":
+                    continue
+                out = os.path.join(tmp, f"{command}.json")
+                argv = [command, path, "--no-timestamp", "--out", out]
+                if command == "oracle-check":
+                    argv += ["--grid", "2001"]
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                allowed = (EXIT_OK,) if command == "solve" else (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION)
+                assert code in allowed, (command, code, s)
+                if code == EXIT_OK:
+                    with open(out) as fh:
+                        assert strict_json(fh.read())["command"] == command
+
+    def test_tiny_optimum_solves_to_the_root(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(TINY_OPTIMUM))
+        out = tmp_path / "solve.json"
+        assert main(["solve", str(path), "--no-timestamp", "--out", str(out)]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "l_opt             1.25305e-155" in text
+        assert "INTERIOR" in text
+        solution = strict_json(out.read_text())["solution"]
+        assert solution["l_opt"] == pytest.approx(1.2530504093e-155, rel=1e-10)
+        assert abs(strict_json(out.read_text())["summary"]["normalized_gradient"]) < 1e-12
 
     def test_json_mirrors_solution_fields(self, tmp_path):
         out = tmp_path / "solve.json"

@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import _oracle
-from conftest import OVERFLOWING_EQ1, make_random_scenario
+from conftest import OVERFLOWING_EQ1, fuzz_scenarios, make_random_scenario
 from privopt import (
     ClosedFormInapplicableError,
     DomainError,
+    Regime,
     Scenario,
+    classify_regime,
     optimal_loss_ratio,
     secure_elasticities,
     secure_feasible_loss,
@@ -65,6 +68,16 @@ class TestSecureOptimalLoss:
         s = dataclasses.replace(table2, nu=1.5, theta=0.2)
         expected = solve_tradeoff(dataclasses.replace(s, pi_s=0.0)).l_opt
         assert secure_feasible_loss(s) == expected
+
+    def test_underflowing_coefficient_product(self):
+        # 0.5 q* p* nu alpha_n underflows to 0, so its log is summed term by term
+        s = Scenario(
+            q_star=1e-200, p_star=1e-200, price=0.5e-200, nu=0.001, theta=0.99,
+            alpha_n=0.5, l_n=1e4, pi_s=0.0, pi_c_star=1e-3,
+        )
+        raw, clamped = secure_optimal_loss(s)
+        assert raw == pytest.approx(float(_oracle.secure_raw(s)), rel=1e-12)
+        assert solve_tradeoff(s).l_opt == clamped == raw
 
     def test_pi_s_is_ignored(self, table2):
         assert secure_optimal_loss(table2) == secure_optimal_loss(
@@ -220,3 +233,16 @@ class TestSolverConsistency:
         raw, clamped = secure_optimal_loss(s)
         assert sol.l_opt == pytest.approx(clamped, rel=1e-12)
         assert raw == pytest.approx(7610.2931813, abs=1e-3)
+
+    @given(s=fuzz_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_is_the_solver_crossing_bit_for_bit(self, s):
+        # one log-coefficient helper gives both: with pi_s = 0 the solver's
+        # stationary point is the raw closed form, in the same bits
+        secure = dataclasses.replace(s, pi_s=0.0)
+        if classify_regime(secure) not in (Regime.NU_LT_1, Regime.SUBCASE_A):
+            return
+        raw, clamped = secure_optimal_loss(secure)
+        sol = solve_tradeoff(secure)
+        assert sol.critical_points == ((raw,) if 0.0 < raw < math.inf else ())
+        assert sol.l_opt == clamped

@@ -2,8 +2,10 @@
 
 import dataclasses
 import math
+import sys
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq as reference_brentq
 
 import _oracle
-from conftest import fuzz_scenarios, make_random_scenario
+import privopt.solver
+from conftest import TINY_OPTIMUM, fuzz_scenarios, make_random_scenario
 from privopt import (
     DegenerateScenarioError,
     NumericError,
@@ -31,7 +34,8 @@ from privopt import (
     solve_tradeoff,
     surplus_gradient,
 )
-from privopt.solver import MAX_ORACLE_POINTS, _gradient, brentq
+from privopt.model import _log_coefficients
+from privopt.solver import MAX_ORACLE_POINTS, RTOL, XTOL, _gradient, brentq
 
 # nu between 1 and 1+theta: gradient peaks, two stationary points, interior max
 SUBCASE_A_INTERIOR = Scenario(
@@ -483,6 +487,81 @@ class TestOracleProperty:
         assert_oracle_optimal(s, sol)
 
 
+def rounding_floor(s, t, l):
+    """Relative error in ``l = e^t`` that double rounding alone can cause at a root ``t``.
+
+    Rounding the terms of ``h`` (module docstring of ``privopt.solver``)
+    moves its value by a few eps times their magnitudes, the parameter
+    logs, the margin's cancellation and ``(|nu-1| + theta)|t|``; over
+    ``|h'(t)|`` that moves the root.  A subnormal ``l`` adds its spacing.
+    """
+    logs = [s.q_star, s.p_star, s.nu, s.alpha_n, s.pi_c_star] + ([s.pi_s] if s.pi_s > 0 else [])
+    scale = (
+        1.0 / s.margin()
+        + sum(abs(math.log(x)) for x in logs)
+        + (s.nu + s.theta + 1.0) * abs(math.log(s.l_n))
+        + (abs(s.nu - 1.0) + s.theta) * abs(t)
+    )
+    return 8 * sys.float_info.epsilon * scale / abs(float(_oracle.log_slope(s, t))) + 2.0**-1074 / l
+
+
+class TestLogSpaceAccuracy:
+    @given(s=fuzz_scenarios())
+    @example(s=Scenario(**TINY_OPTIMUM))
+    @example(s=SUBNORMAL_PEAK)
+    @example(s=STREAM_REGRESSIONS[1])
+    @example(s=UNDERFLOWING_OPTIMUM)
+    @settings(max_examples=200, deadline=None)
+    def test_roots_match_the_mpmath_log_root(self, s):
+        # every INTERIOR l_opt is a located root, and every located root in
+        # (0, l_n] lies within 1e-12 relative (plus the rounding floor) of
+        # the 50-digit root of h that bisection in t finds next to it
+        sol = solve_tradeoff(s)
+        if sol.status is SolutionStatus.INTERIOR:
+            assert sol.l_opt in sol.critical_points
+        for l in sol.critical_points:
+            if l > s.l_n:
+                continue
+            root = _oracle.log_root(s, math.log(l))
+            assert root is not None, (s, sol)
+            err = float(abs(mp.mpf(l) / mp.exp(root) - 1))
+            assert err <= 1e-12 + rounding_floor(s, float(root), l), (s, sol, err)
+
+    def test_tiny_optimum_to_full_precision(self):
+        s = Scenario(**TINY_OPTIMUM)
+        sol = solve_tradeoff(s)
+        assert sol.status is SolutionStatus.INTERIOR
+        root = _oracle.log_root(s, math.log(sol.l_opt))
+        assert float(abs(mp.mpf(sol.l_opt) / mp.exp(root) - 1)) < 1e-13
+        assert sol.l_opt == pytest.approx(1.2530504093e-155, rel=1e-10)
+
+
+class TestRootEvaluations:
+    """Every bracket has ``|h| >= 1`` at its ends, so no root search spins."""
+
+    @pytest.mark.parametrize(
+        "s",
+        (SUBNORMAL_PEAK, *STREAM_REGRESSIONS, Scenario(**TINY_OPTIMUM)),
+        ids=("subnormal-peak", "stream-A", "stream-LT1-a", "stream-LT1-b", "tiny-optimum"),
+    )
+    def test_few_evaluations_per_root_search(self, s, monkeypatch):
+        counts = []
+        original = privopt.solver.brentq
+
+        def counted(f, *args):
+            counts.append(0)
+
+            def f_counted(t):
+                counts[-1] += 1
+                return f(t)
+
+            return original(f_counted, *args)
+
+        monkeypatch.setattr(privopt.solver, "brentq", counted)
+        solve_tradeoff(s)
+        assert counts and max(counts) <= 20, counts
+
+
 class TestRootRefinement:
     def test_nonconvergence_raises(self):
         with pytest.raises(NumericError):
@@ -502,30 +581,45 @@ class TestRootRefinement:
         assert math.isfinite(sol.l_opt)
 
 
+def gradient_of(s):
+    """The surplus gradient in ``l``."""
+    a, b = decision_coefficients(s)
+    return lambda l: _gradient(s, a, b, l)
+
+
+def log_form(s):
+    """The solver's ``h(t)``, the decision equation in ``t = log l``."""
+    la, lb, _ = _log_coefficients(s)
+    lp = math.log(s.pi_s) if s.pi_s > 0 else -math.inf
+    return lambda t: la + (s.nu - 1.0) * t - float(np.logaddexp(lp, lb + s.theta * t))
+
+
 @st.composite
 def root_cases(draw):
-    """Decision-equation gradient of a random scenario, and a random bracket."""
+    """A random scenario's decision equation and a random bracket, in ``l``
+    (the gradient) or in ``t = log l`` (the function the solver searches)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     s = make_random_scenario(rng, regime=draw(st.sampled_from(["lt1", "a", "b", "eq1", "eq1pt", None])))
+    if draw(st.booleans()):
+        lo, hi = sorted(draw(st.floats(-800.0, 800.0)) for _ in range(2))
+        return log_form(s), lo, hi
     lo, hi = sorted(s.l_n * 10.0 ** draw(st.floats(-300.0, 300.0)) for _ in range(2))
-    return s, lo, hi
+    return gradient_of(s), lo, hi
 
 
 class TestBrentMatchesReference:
     @given(case=root_cases(), maxiter=st.sampled_from([1, 2, 5, 200]))
-    @example(case=(SUBCASE_A_ZERO_STEP, 2.8831316817102125e270, 1.891397741285124e274), maxiter=200)
+    @example(case=(gradient_of(SUBCASE_A_ZERO_STEP), 2.8831316817102125e270, 1.891397741285124e274), maxiter=200)
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_scipy(self, case, maxiter):
-        s, lo, hi = case
-        a, b = decision_coefficients(s)
-        grad = lambda l: _gradient(s, a, b, l)  # noqa: E731
+        f, lo, hi = case
         try:
-            want = reference_brentq(grad, lo, hi, xtol=max(1e-15 * hi, 5e-324), rtol=1e-12, maxiter=maxiter)
+            want = reference_brentq(f, lo, hi, xtol=XTOL, rtol=RTOL, maxiter=maxiter)
         except (RuntimeError, ValueError):
             with pytest.raises(NumericError):
-                brentq(grad, lo, hi, maxiter)
+                brentq(f, lo, hi, maxiter)
             return
-        got = brentq(grad, lo, hi, maxiter)
+        got = brentq(f, lo, hi, maxiter)
         assert got == want and repr(got) == repr(want)
 
     def test_sign_test_reads_sign_bits(self):
