@@ -391,7 +391,7 @@ def _cmd_secure(sf, args, out):
     summary = {}
     try:
         raw, clamped = secure_optimal_loss(s)
-        summary["secure_l_raw"] = raw
+        summary["secure_l_raw"] = raw if raw < math.inf else None  # overflowed
         summary["secure_l_clamped"] = clamped
         if s.price < s.p_star:
             summary.update(asdict(secure_elasticities(s)), **asdict(secure_quasi_elasticities(s)))

@@ -146,18 +146,19 @@ def secure_quasi_elasticities(s) -> SecureQuasiElasticities:
         qeps_theta = -k (rho + 1/(theta + 1))
         qeps_pi_c* = -k / pi_c*
 
-    Raises DomainError when ``price >= p_star`` or when ``l*`` underflows
-    to 0 or overflows, where ``rho`` is undefined.
+    ``rho`` is finite even where ``l*/l_n`` under- or overflows the float
+    range; there it comes from the log of the closed form.  Raises
+    DomainError when ``price >= p_star``.
     """
     if s.price >= s.p_star:
         raise DomainError("quasi-elasticities require price < p_star")
-    k = 1.0 / _exponent_denominator(s)
-    raw, _ = secure_optimal_loss(s)
-    if raw == 0.0:
-        raise DomainError("quasi-elasticities undefined: the secure optimum underflows to 0")
-    if raw == math.inf:
-        raise DomainError("quasi-elasticities undefined: the secure optimum overflows")
-    rho = math.log(raw / s.l_n)
+    d = _exponent_denominator(s)
+    ratio = secure_optimal_loss(s)[0] / s.l_n
+    if 0.0 < ratio < math.inf:
+        rho = math.log(ratio)
+    else:
+        rho = _log_coefficients(s)[2] / d - math.log(s.l_n)
+    k = 1.0 / d
     return SecureQuasiElasticities(
         qeps_nu=k * (1.0 / s.nu + rho),
         qeps_theta=-k * (rho + 1.0 / (s.theta + 1.0)),

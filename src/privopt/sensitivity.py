@@ -158,6 +158,8 @@ def _measure(s: Scenario, base, factor: str, step: float, kind: SensitivityKind)
     s2 = _perturbed(s, factor, new_value)
     sol2 = solve_tradeoff(s2)
     value = ((sol2.l_opt - base.l_opt) / base.l_opt) / delta
+    if not math.isfinite(value):
+        raise DomainError(f"{factor} sensitivity overflows at the base optimum {base.l_opt!r}")
     return SensitivityEntry(
         factor=factor,
         delta=delta,
@@ -202,7 +204,8 @@ def default_price_grid(s: Scenario, pmin: float = 0.0, pmax: float | None = None
     """Uniform price grid, by default 201 points on [0, 0.99 p_star].
 
     Point ``i`` is ``pmin + i*step`` and the last point is ``pmax``, the
-    same floats ``numpy.linspace`` gives.
+    same floats ``numpy.linspace`` gives; like it, a step that underflows
+    to 0 makes point ``i`` ``pmin + i/(points-1) * (pmax-pmin)``.
     """
     if pmax is None:
         pmax = 0.99 * s.p_star
@@ -215,8 +218,9 @@ def default_price_grid(s: Scenario, pmin: float = 0.0, pmax: float | None = None
     if pmax >= s.p_star:
         raise ValidationError("pmax", f"must stay below p_star ({s.p_star})")
     pmin, pmax = float(pmin), float(pmax)
-    step = (pmax - pmin) / (points - 1)
-    return tuple(pmin + i * step for i in range(points - 1)) + (pmax,)
+    div, delta = points - 1, pmax - pmin
+    step = delta / div
+    return tuple(pmin + (i * step if step else i / div * delta) for i in range(div)) + (pmax,)
 
 
 def _check_grid(s: Scenario, grid) -> tuple:

@@ -74,9 +74,14 @@ RTOL = 4 * sys.float_info.epsilon
 #: Largest ``t`` whose ``exp`` is finite.
 _T_MAX = math.log(sys.float_info.max)
 
-#: Largest grid the oracle evaluates; net_surplus allocates several float
-#: arrays of that length.
+#: Largest grid the oracle evaluates; it bounds the oracle's run time,
+#: not its memory.
 MAX_ORACLE_POINTS = 10**7
+
+#: Grid points the oracle evaluates per net_surplus call.  Each of the
+#: kernel's temporaries is then 256 KiB and stays in cache; 2**14 and 2**15
+#: were the fastest of 2**12 to 2**17 on a 1e6-point grid.
+ORACLE_BLOCK = 1 << 15
 
 
 class Regime(str, Enum):
@@ -423,7 +428,12 @@ def oracle_grid_argmax(s: Scenario, n: int) -> float:
     """Brute-force argmax of the net surplus on a uniform n-point grid.
 
     Validation oracle for solve_tradeoff; ties resolve to the first
-    (smallest) grid point, matching the solver's tie rule.
+    (smallest) grid point, matching the solver's tie rule, and a NaN
+    value wins as it does in ``numpy.argmax``.  The grid is walked in
+    blocks of ``ORACLE_BLOCK`` points, so memory is O(block), not O(n);
+    each block holds the same floats as that slice of
+    ``numpy.linspace(0, l_n, n)``, and the result is the same float as
+    the full grid's argmax.
     """
     if n < 2:
         raise ValidationError("n", "grid needs at least 2 points")
@@ -431,6 +441,19 @@ def oracle_grid_argmax(s: Scenario, n: int) -> float:
         raise ValidationError("n", f"grid is capped at {MAX_ORACLE_POINTS} points")
     import numpy as np
 
-    grid = np.linspace(0.0, s.l_n, int(n))
-    values = net_surplus(s, grid)
-    return float(grid[int(np.argmax(values))])
+    n = int(n)
+    div = n - 1
+    step = s.l_n / div
+    points, values = [], []
+    for start in range(0, n, ORACLE_BLOCK):
+        grid = np.arange(start, min(start + ORACLE_BLOCK, n), dtype=np.float64)
+        # numpy.linspace's two branches; the second keeps a subnormal l_n
+        grid = grid * step if step else grid / div * s.l_n
+        if start + ORACLE_BLOCK >= n:
+            grid[-1] = s.l_n
+        block = net_surplus(s, grid)
+        i = int(np.argmax(block))
+        points.append(grid[i])
+        values.append(block[i])
+    # each block's first maximum, then the first block holding the overall one
+    return float(points[int(np.argmax(values))])

@@ -3,10 +3,14 @@
 Everything here is computed with mpmath at 50 digits straight from the
 model's defining expressions, deliberately sharing no code with the
 package.  Tests compare package output against these references (or
-against literals frozen from them).
+against literals frozen from them).  The one exception is
+``grid_argmax``, the full-grid form of the package's blocked grid oracle.
 """
 
 import mpmath as mp
+import numpy as np
+
+import privopt
 
 mp.mp.dps = 50
 
@@ -139,3 +143,11 @@ def log_slope(s, t):
     v = _m(s)
     term = b * mp.exp(v["th"] * t)
     return (v["nu"] - 1) - v["th"] * term / (v["pis"] + term)
+
+
+def grid_argmax(s, n):
+    """Argmax of the package's ``net_surplus`` over the whole
+    ``numpy.linspace(0, l_n, n)`` grid at once: the reference the blocked
+    ``oracle_grid_argmax`` must equal bit for bit."""
+    grid = np.linspace(0.0, s.l_n, int(n))
+    return float(grid[int(np.argmax(privopt.net_surplus(s, grid)))])

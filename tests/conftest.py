@@ -36,6 +36,22 @@ OVERFLOWING_BRACKET = {
     "l_n": 0.003373750913214507, "pi_s": 9.184858018898177e-11, "pi_c_star": 0.1920224942206975,
 }
 
+#: nu < 1 scenario whose consumption surplus overflows to inf at every
+#: loss, so the net surplus is inf everywhere on [0, l_n]
+OVERFLOWING_SURPLUS = {
+    "q_star": 1e200, "p_star": 1e200, "price": 5e199,
+    "nu": 0.5, "theta": 0.3, "alpha_n": 0.5,
+    "l_n": 1e4, "pi_s": 1e-4, "pi_c_star": 1e-3,
+}
+
+#: nu == 1 scenario with a breach-proof provider whose optimum is the
+#: subnormal 1.38e-321: relative sensitivities against it overflow
+SUBNORMAL_OPTIMUM = {
+    "q_star": 1.0, "p_star": 1.0, "price": 0.375,
+    "nu": 1.0, "theta": 0.01, "alpha_n": 0.001,
+    "l_n": 10**0.5, "pi_s": 0.0, "pi_c_star": 0.1,
+}
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 

@@ -32,7 +32,15 @@ from privopt.cli import (
 )
 from privopt.sensitivity import MAX_SWEEP_POINTS
 from privopt.solver import MAX_ORACLE_POINTS
-from conftest import OVERFLOWING_BRACKET, OVERFLOWING_EQ1, REPO_ROOT, SCENARIO_DIR, TINY_OPTIMUM, fuzz_scenarios
+from conftest import (
+    OVERFLOWING_BRACKET,
+    OVERFLOWING_EQ1,
+    REPO_ROOT,
+    SCENARIO_DIR,
+    SUBNORMAL_OPTIMUM,
+    TINY_OPTIMUM,
+    fuzz_scenarios,
+)
 
 TABLE1 = str(SCENARIO_DIR / "table1.json")
 TABLE2 = str(SCENARIO_DIR / "table2.json")
@@ -208,7 +216,6 @@ class TestExitCodes:
         "command, code, message",
         [
             ("tornado", EXIT_USAGE, "positive optimum"),
-            ("secure", EXIT_VALIDATION, "underflows to 0"),
         ],
     )
     def test_underflowing_optimum_exits_cleanly(self, tmp_path, command, code, message, capsys):
@@ -411,7 +418,6 @@ class TestReports:
         # neither may reach a report as Infinity, and no command may end in a traceback
         path = write_scenario(tmp_path, losses=[0.001, 0.002], **OVERFLOWING_EQ1)
         expected = {command: EXIT_OK for command in COMMANDS if command != "pareto-nu"}
-        expected["secure"] = EXIT_VALIDATION  # quasi-elasticities need a finite optimum
         for command, code in expected.items():
             out = tmp_path / f"{command}.json"
             argv = [command, path, "--no-timestamp", "--out", str(out)]
@@ -424,6 +430,22 @@ class TestReports:
         solution = strict_json((tmp_path / "solve.json").read_text())["solution"]
         assert solution["critical_points"] == []
         assert solution["status"] == "CLAMPED_AT_LN"
+        secure = strict_json((tmp_path / "secure.json").read_text())["summary"]
+        assert secure["secure_l_raw"] is None
+        assert secure["secure_l_clamped"] == OVERFLOWING_EQ1["l_n"]
+        assert all(math.isfinite(secure[key]) for key in ("qeps_nu", "qeps_theta", "qeps_pi_c_star"))
+
+    def test_secure_reports_underflowing_optimum(self, tmp_path):
+        # the secure closed form underflows to 0; its quasi-elasticities stay
+        # finite, and the OLR is undefined against a vulnerable optimum of 0
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps(UNDERFLOWING))
+        out = tmp_path / "secure.json"
+        assert main(["secure", str(path), "--no-timestamp", "--out", str(out)]) == EXIT_OK
+        summary = strict_json(out.read_text())["summary"]
+        assert summary["secure_l_raw"] == summary["secure_l_clamped"] == 0.0
+        assert summary["olr"] is None
+        assert math.isfinite(summary["qeps_nu"])
 
     def test_non_finite_report_value_exits_numeric(self, tmp_path, monkeypatch, capsys):
         def handler(sf, args, out):
@@ -441,6 +463,7 @@ class TestReports:
     @given(s=fuzz_scenarios())
     @example(s=Scenario(**OVERFLOWING_BRACKET))
     @example(s=Scenario(**OVERFLOWING_EQ1))
+    @example(s=Scenario(**SUBNORMAL_OPTIMUM))
     @settings(max_examples=40, deadline=None)
     def test_every_report_is_strict_json(self, s):
         # every scenario command either exits cleanly with a report that

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,23 +193,41 @@ class TestSecureQuasiElasticities:
         assert qe_low.qeps_nu > 0
         assert qe_high.qeps_nu < 0
 
-    def test_underflowing_optimum_rejected(self):
-        # l* lies below the smallest subnormal, so rho = ln(l*/l_n) is undefined
+    @staticmethod
+    def assert_matches_reference(s):
+        # against the exact logarithmic derivatives of the 50-digit closed form
+        qe = secure_quasi_elasticities(s)
+        k = 1 / (mp.mpf(s.theta) - mp.mpf(s.nu) + 1)
+        rho = mp.log(_oracle.secure_raw(s) / mp.mpf(s.l_n))
+        assert qe.qeps_nu == pytest.approx(float(k * (1 / mp.mpf(s.nu) + rho)), rel=1e-12)
+        assert qe.qeps_theta == pytest.approx(float(-k * (rho + 1 / (mp.mpf(s.theta) + 1))), rel=1e-12)
+        assert qe.qeps_pi_c_star == pytest.approx(float(-k / mp.mpf(s.pi_c_star)), rel=1e-12)
+
+    def test_underflowing_optimum_has_finite_quasi_elasticities(self):
+        # l* lies below the smallest subnormal; rho = ln(l*/l_n) comes from its log
         s = Scenario(
             q_star=0.001, p_star=0.001, price=0.0, nu=0.999, theta=0.01,
             alpha_n=0.001, l_n=1e12, pi_s=0.01, pi_c_star=0.5,
         )
         assert secure_optimal_loss(s) == (0.0, 0.0)
-        with pytest.raises(DomainError, match="underflows"):
-            secure_quasi_elasticities(s)
+        self.assert_matches_reference(s)
 
-    def test_overflowing_optimum_rejected(self):
+    def test_overflowing_optimum_has_finite_quasi_elasticities(self):
         # the closed form exceeds the float range: inf, clamped to the cap, and no traceback
         s = Scenario(**OVERFLOWING_EQ1)
         assert secure_optimal_loss(s) == (math.inf, s.l_n)
         assert secure_feasible_loss(s) == s.l_n
-        with pytest.raises(DomainError, match="overflows"):
-            secure_quasi_elasticities(s)
+        self.assert_matches_reference(s)
+
+    def test_overflowing_fuzz_scenario(self):
+        # SUBCASE_A draw from the solve-mix fuzz ranges: l* is about e^717 l_n
+        s = Scenario(
+            q_star=6360.841325698428, p_star=0.015595711155784876, price=0.010667074800466648,
+            nu=1.0574078188126832, theta=0.0981203913046242, alpha_n=133.92963887393054,
+            l_n=0.0041106990287097965, pi_s=1.5205574099866075e-12, pi_c_star=3.296139511024276e-08,
+        )
+        assert secure_optimal_loss(s)[0] == math.inf
+        self.assert_matches_reference(s)
 
     def test_pi_c_star_always_negative(self, table2):
         rng = np.random.default_rng(5)

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import SUBNORMAL_OPTIMUM
 from privopt import (
     DomainError,
+    Scenario,
     SensitivityKind,
     SolutionStatus,
     SweepSeries,
@@ -156,6 +158,17 @@ class TestTornado:
         sizes = [max(abs(m.value), abs(p.value)) for m, p in pairs]
         assert sizes == sorted(sizes, reverse=True)
 
+    def test_overflowing_entry_is_a_domain_error(self):
+        # the base optimum is the subnormal 1.38e-321, so relative changes
+        # against it overflow to +-inf: typed error, not a non-finite entry
+        s = Scenario(**SUBNORMAL_OPTIMUM)
+        assert 0.0 < solve_tradeoff(s).l_opt < 1e-320
+        with pytest.raises(DomainError, match="overflows"):
+            tornado(s, EXPONENT_PLAN)
+        with pytest.raises(DomainError, match="nu sensitivity overflows"):
+            discrete_quasi_elasticity(s, "nu", 0.1)
+        assert math.isfinite(discrete_elasticity(s, "q_star", 0.10).value)
+
 
 class TestPriceSweep:
     def test_flat_then_strictly_decreasing(self, table1):
@@ -286,6 +299,7 @@ class TestDefaultGrid:
     )
     @example(p_star=1.0, ends=[0.0, 0.99], points=201)
     @example(p_star=1.0, ends=[0.3, 0.6], points=7)
+    @example(p_star=1.0, ends=[0.0, 5e-324], points=4)  # the step underflows to 0
     @settings(max_examples=500, deadline=None)
     def test_equals_numpy_linspace_bit_for_bit(self, table2, p_star, ends, points):
         s = dataclasses.replace(table2, p_star=p_star)

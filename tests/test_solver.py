@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -14,7 +15,7 @@ from scipy.optimize import brentq as reference_brentq
 
 import _oracle
 import privopt.solver
-from conftest import TINY_OPTIMUM, fuzz_scenarios, make_random_scenario
+from conftest import OVERFLOWING_SURPLUS, TINY_OPTIMUM, fuzz_scenarios, make_random_scenario
 from privopt import (
     DegenerateScenarioError,
     NumericError,
@@ -35,7 +36,7 @@ from privopt import (
     surplus_gradient,
 )
 from privopt.model import _log_coefficients
-from privopt.solver import MAX_ORACLE_POINTS, RTOL, XTOL, _gradient, brentq
+from privopt.solver import MAX_ORACLE_POINTS, ORACLE_BLOCK, RTOL, XTOL, _gradient, brentq
 
 # nu between 1 and 1+theta: gradient peaks, two stationary points, interior max
 SUBCASE_A_INTERIOR = Scenario(
@@ -87,6 +88,14 @@ STREAM_REGRESSIONS = (
 SUBNORMAL_PEAK = Scenario(
     q_star=10.0**-0.5, p_star=10.0**0.75, price=0.0, nu=1.003093645091285,
     theta=0.024749160730280505, alpha_n=10.0**-0.25, l_n=10.0**6.625, pi_s=1e-08, pi_c_star=0.1,
+)
+
+# subnormal l_n: on a 200_001-point grid the step l_n / (n - 1) underflows
+# to 0, and numpy.linspace divides before it scales.  The surplus first
+# reaches its maximum, 1 + 2**-52, just past l_n / 2.
+SUBNORMAL_CAP = Scenario(
+    q_star=2.0, p_star=1.0, price=0.0, nu=1.0, theta=0.5,
+    alpha_n=2.0**-52, l_n=1e-319, pi_s=0.0, pi_c_star=0.5,
 )
 
 
@@ -465,6 +474,27 @@ class TestOracleGridArgmax:
             step = s.l_n / 200_000
             assert abs(sol.l_opt - grid_best) <= 2 * step, (s, sol)
             assert sol.surplus >= net_surplus(s, grid_best) - 1e-9 * max(1.0, abs(sol.surplus))
+
+    def test_memory_is_one_block(self, table2):
+        # the full 1e6-point grid and its temporaries traced about 38 MiB
+        oracle_grid_argmax(table2, 1000)  # numpy's own first-use allocations
+        tracemalloc.start()
+        try:
+            oracle_grid_argmax(table2, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @given(
+        s=fuzz_scenarios(),
+        n=st.sampled_from([2, 3, ORACLE_BLOCK - 1, ORACLE_BLOCK + 1, 2 * ORACLE_BLOCK, 200_001]),
+    )
+    @example(s=SUBNORMAL_CAP, n=200_001)
+    @example(s=Scenario(**OVERFLOWING_SURPLUS), n=2 * ORACLE_BLOCK)  # inf everywhere: 0 wins
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_the_full_grid(self, s, n):
+        assert oracle_grid_argmax(s, n) == _oracle.grid_argmax(s, n)
 
 
 class TestStreamRegressions:
