@@ -11,7 +11,6 @@ import numpy as np
 
 from privopt import (
     Scenario,
-    construct_bracket,
     feasibility_report,
     marginal_demand_factor,
     net_surplus,
@@ -43,7 +42,7 @@ for l in np.linspace(0.0, s.l_n, 11):
 # The solver classifies the gradient shape, brackets the root of the
 # first-order condition and refines it.
 sol = solve_tradeoff(s)
-lo, hi = construct_bracket(s)
+lo, hi = sol.bracket
 print(f"\nregime           {sol.regime.value}")
 print(f"search bracket   [{lo:.1f}, {hi:.1f}]")
 print(f"optimal loss     {sol.l_opt:.2f}  ({sol.status.value})")

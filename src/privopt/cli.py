@@ -34,13 +34,10 @@ import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
-from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .errors import (
     ClosedFormInapplicableError,
-    DegenerateScenarioError,
     DomainError,
     NumericError,
     PrivoptError,
@@ -79,17 +76,7 @@ from .solver import (
 
 __all__ = ["ScenarioFile", "ReportBundle", "load_scenario", "run_command", "write_report", "main"]
 
-SCENARIO_KEYS = (
-    "q_star",
-    "p_star",
-    "price",
-    "nu",
-    "theta",
-    "alpha_n",
-    "l_n",
-    "pi_s",
-    "pi_c_star",
-)
+SCENARIO_KEYS = tuple(f.name for f in fields(Scenario))
 OPTIONAL_BLOCKS = ("sweep", "tornado", "losses")
 SWEEP_KEYS = ("pmin", "pmax", "points")
 
@@ -139,21 +126,6 @@ class ReportBundle:
         )
         return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReportBundle":
-        hints = get_type_hints(cls)
-        rows = d.get("tornado")
-        return cls(
-            command=d["command"],
-            tornado_pairs=None if rows is None else tuple(
-                (_decode(SensitivityEntry, r["minus"]), _decode(SensitivityEntry, r["plus"]))
-                for r in rows
-            ),
-            summary=dict(d.get("summary") or {}),
-            metadata=dict(d.get("metadata") or {}),
-            **{name: _decode(hints[name], d.get(name)) for name in _BUNDLE_PARTS},
-        )
-
 
 #: Bundle fields that are dataclasses, serialised under their own names.
 _BUNDLE_PARTS = ("scenario", "solution", "feasibility", "sweep")
@@ -167,22 +139,6 @@ def _encode(value):
         return value.value
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
-    return value
-
-
-def _decode(hint, value):
-    """Inverse of ``_encode``, driven by the type hint of the target."""
-    if value is None:
-        return None
-    if get_origin(hint) in (Union, UnionType):
-        return _decode(next(a for a in get_args(hint) if a is not type(None)), value)
-    if get_origin(hint) is tuple:
-        return tuple(_decode(get_args(hint)[0], v) for v in value)
-    if is_dataclass(hint):
-        hints = get_type_hints(hint)
-        return hint(**{name: _decode(hints[name], v) for name, v in value.items()})
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return hint(value)
     return value
 
 
@@ -244,6 +200,8 @@ def load_scenario(path: str) -> ScenarioFile:
         rows = data["tornado"]
         if not isinstance(rows, list):
             raise ValidationError("tornado", "must be a list of [factor, low, high] rows")
+        if not rows:
+            raise ValidationError("tornado", "must hold at least one row")
         parsed = []
         for i, row in enumerate(rows):
             if not (isinstance(row, list) and len(row) == 3):
@@ -373,7 +331,7 @@ def _cmd_sweep_olr(sf, args, out):
 
 
 def _cmd_tornado(sf, args, out):
-    plan = sf.tornado_plan or DEFAULT_TORNADO_PLAN
+    plan = DEFAULT_TORNADO_PLAN if sf.tornado_plan is None else sf.tornado_plan
     pairs = tuple(tornado(sf.scenario, plan))
     width = max(len(m.factor) for m, _ in pairs)
     for minus, plus in pairs:
@@ -644,7 +602,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValidationError, DomainError, DegenerateScenarioError) as exc:
+    except (ValidationError, DomainError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (UsageError, ClosedFormInapplicableError) as exc:

@@ -28,9 +28,5 @@ class NumericError(PrivoptError, RuntimeError):
     """A numeric procedure failed to converge; never returned silently."""
 
 
-class DegenerateScenarioError(PrivoptError):
-    """Price at or above the willingness-to-pay: demand and surplus are zero."""
-
-
 class ClosedFormInapplicableError(PrivoptError):
     """The secure-provider closed form does not apply (nu >= 1 + theta)."""

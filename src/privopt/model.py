@@ -28,7 +28,6 @@ from .errors import DomainError, ValidationError
 
 __all__ = [
     "Scenario",
-    "DemandPoint",
     "ConsumptionRegion",
     "marginal_demand_factor",
     "demand_quantity",
@@ -153,24 +152,6 @@ class Scenario:
     def margin(self) -> float:
         """Relative price margin ``1 - price/p_star`` clamped at 0."""
         return max(0.0, 1.0 - self.price / self.p_star)
-
-
-@dataclass(frozen=True)
-class DemandPoint:
-    """A working point (quantity, price) on or below a demand line."""
-
-    quantity: float
-    price: float
-
-    def __post_init__(self):
-        if self.quantity < 0:
-            raise ValidationError("quantity", "must be >= 0")
-        if self.price < 0:
-            raise ValidationError("price", "must be >= 0")
-
-    def reachable(self, s: "Scenario", alpha: float, tol: float = 1e-12) -> bool:
-        """True when the point lies on or below the curve expanded by alpha."""
-        return self.quantity <= demand_quantity(s, alpha, self.price) * (1.0 + tol)
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    DegenerateScenarioError,
-    NumericError,
-    UsageError,
-    ValidationError,
-)
+from .errors import NumericError, UsageError, ValidationError
 from .model import (
     Scenario,
     _cap_risk,
@@ -51,10 +46,8 @@ __all__ = [
     "TradeoffSolution",
     "FeasibilityCondition",
     "FeasibilityReport",
-    "decision_coefficients",
     "classify_regime",
     "feasibility_report",
-    "construct_bracket",
     "solve_tradeoff",
     "solve_discrete",
     "oracle_grid_argmax",
@@ -110,9 +103,9 @@ class TradeoffSolution:
     ``critical_points`` lists the stationary points of the unconstrained
     surplus that the solver located (maxima or minima, possibly beyond
     ``l_n``); ``bracket`` is the sign-change interval of the monotone
-    ``nu < 1`` regime.  Both hold positive finite floats only: a point
-    that under- or overflows the float range is left out, and so is a
-    bracket with such an end.
+    ``nu < 1`` regime, collapsed onto the root when ``pi_s == 0``.  Both
+    hold positive finite floats only: a point that under- or overflows
+    the float range is left out, and so is a bracket with such an end.
     """
 
     l_opt: float
@@ -137,20 +130,6 @@ class FeasibilityReport:
     regime: Regime
     conditions: tuple[FeasibilityCondition, ...]
     guaranteed_unique: bool
-
-
-def decision_coefficients(s: Scenario) -> tuple:
-    """Coefficients ``(a, b)`` of the decision equation
-    ``a*l**(nu-1) - pi_s - b*l**theta = 0``, both strictly positive.
-
-    Raises DegenerateScenarioError when ``price >= p_star``: demand is
-    zero and the optimum is trivially ``l = 0``.
-    """
-    if s.price >= s.p_star:
-        raise DegenerateScenarioError(
-            f"price {s.price} >= willingness-to-pay {s.p_star}: demand is zero"
-        )
-    return _coefficients(s)
 
 
 def normalized_gradient(s: Scenario, l: float) -> float:
@@ -211,21 +190,6 @@ def feasibility_report(s: Scenario) -> FeasibilityReport:
         return FeasibilityReport(regime=regime, conditions=conditions, guaranteed_unique=unique)
     # nu == 1 + theta: no sufficient uniqueness condition is evaluated here
     return FeasibilityReport(regime=regime, conditions=(), guaranteed_unique=False)
-
-
-def construct_bracket(s: Scenario) -> tuple | None:
-    """Sign-change interval ``(l_l, l_u)`` of the monotone (nu < 1) regime.
-
-    The upper end solves ``a*l**(nu-1) = b*l**theta``; the lower end
-    solves ``a*l**(nu-1) = a*l_u**(nu-1) + pi_s``, which forces the
-    gradient positive there.  With ``pi_s == 0`` the interval collapses
-    onto the root itself.  None when an end lies outside the float range.
-    """
-    if classify_regime(s) is not Regime.NU_LT_1:
-        raise UsageError("bracket construction applies to the nu < 1 regime only")
-    if s.price >= s.p_star:
-        raise DegenerateScenarioError("price >= p_star: gradient has no positive part")
-    return solve_tradeoff(s).bracket
 
 
 # perfbench/tracing.py counts root calls by wrapping this module-global name.

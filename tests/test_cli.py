@@ -137,6 +137,7 @@ class TestLoadScenario:
             ({"sweep": {"points": float("inf")}}, "sweep.points"),
             ({"sweep": {"points": 2.7}}, "sweep.points"),
             ({"losses": [True, 2]}, "losses[0]"),
+            ({"tornado": []}, "tornado"),  # not the default plan in disguise
             ({"q_star": 10**400}, "q_star"),  # an integer beyond the float range
         ):
             path = write_scenario(tmp_path, **block)
@@ -144,6 +145,7 @@ class TestLoadScenario:
                 load_scenario(path)
             assert exc.value.field == field
         assert main(["sweep-price", write_scenario(tmp_path, sweep={"points": float("nan")})]) == EXIT_VALIDATION
+        assert main(["tornado", write_scenario(tmp_path, tornado=[])]) == EXIT_VALIDATION
 
     def test_whole_float_points_accepted(self, tmp_path, capsys):
         assert load_scenario(write_scenario(tmp_path, sweep={"points": 7.0})).sweep == {"points": 7.0}
@@ -296,6 +298,21 @@ class TestImport:
         )
         assert run_python(code) == "['float'] INTERIOR 3796.9 False"
 
+    def test_export_lists_agree(self):
+        # the package exports its version, its errors and each module's
+        # public names, all of which resolve, none twice
+        import privopt
+        from privopt import errors, model, secure, sensitivity, solver
+
+        modules = (model, solver, secure, sensitivity)
+        module_names = [name for m in modules for name in m.__all__]
+        error_names = {name for name in vars(errors) if name.endswith("Error")}
+        assert set(privopt.__all__) == {"__version__"} | error_names | set(module_names)
+        for package, names in ((privopt, privopt.__all__), (cli, cli.__all__)):
+            assert len(set(names)) == len(names), package.__name__
+            assert all(hasattr(package, name) for name in names), package.__name__
+        assert len(set(module_names)) == len(module_names)
+
 
 class TestCommands:
     def test_pareto_nu(self, capsys):
@@ -354,23 +371,26 @@ class TestCommands:
 class TestReports:
     def test_json_round_trip(self, table1_file, table2_file):
         # every command, so each report shape (solution, feasibility, sweep,
-        # tornado, summary only) goes through the decoder
+        # tornado, summary only) is parsed back and written again
         for command in COMMANDS:
             args = make_args(benefit=0.8, loss=0.2, grid=20001, points=31)
             sf = None if command == "pareto-nu" else table1_file if command == "sweep-olr" else table2_file
             bundle = run_command(command, sf, args, out=io.StringIO())
             rendered = render_report(bundle, "json")
-            decoded = ReportBundle.from_dict(json.loads(rendered))
-            assert decoded == bundle, command
-            for part in ("scenario", "solution", "feasibility", "sweep", "tornado_pairs"):
-                # == alone accepts a str for a str-valued enum member
-                assert repr(getattr(decoded, part)) == repr(getattr(bundle, part)), command
-            assert render_report(decoded, "json") == rendered, command
+            payload = json.loads(rendered)
+            assert payload == bundle.to_dict(), command
+            assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == rendered, command
 
     def test_sweep_round_trip(self, table1_file):
+        # floats are written as their shortest round-trip decimal, so every
+        # column parses back to the very floats of the sweep
         bundle = run_command("sweep-olr", table1_file, make_args(points=31), out=io.StringIO())
-        payload = json.loads(json.dumps(bundle.to_dict(), sort_keys=True))
-        assert ReportBundle.from_dict(payload) == bundle
+        rendered = render_report(bundle, "json")
+        payload = json.loads(rendered)
+        assert payload == bundle.to_dict()
+        for name in ("grid", "l_opt", "revenue", "olr"):
+            assert tuple(payload["sweep"][name]) == getattr(bundle.sweep, name), name
+        assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == rendered
 
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -13,7 +13,6 @@ import _oracle
 from _gradcheck import relative_gradient_error
 from conftest import fuzz_scenarios, make_random_scenario
 from privopt import (
-    DemandPoint,
     DomainError,
     Scenario,
     ValidationError,
@@ -91,11 +90,12 @@ class TestMarginalDemandFactor:
             marginal_demand_factor(table2, table2.l_n * 1.0001)
 
     def test_vectorized_matches_scalar(self, table2):
-        grid = np.linspace(0.0, table2.l_n, 7)
+        # 47 of these 1001 points differ in the last bits between the paths
+        grid = np.linspace(0.0, table2.l_n, 1001)
         out = marginal_demand_factor(table2, grid)
         assert out.shape == grid.shape
         for l, v in zip(grid, out):
-            assert v == marginal_demand_factor(table2, float(l))
+            assert agree(float(v), marginal_demand_factor(table2, float(l))), l
 
     @given(frac=st.floats(1e-9, 1.0), bump=st.floats(1e-6, 0.5))
     @settings(max_examples=100, deadline=None)
@@ -104,24 +104,6 @@ class TestMarginalDemandFactor:
         l_hi = min(table2.l_n, l * (1.0 + bump))
         if l_hi > l * (1.0 + 1e-12):  # ulp-level gaps round to equal factors
             assert marginal_demand_factor(table2, l_hi) > marginal_demand_factor(table2, l)
-
-
-class TestDemandPoint:
-    def test_negative_coordinates_rejected(self):
-        with pytest.raises(ValidationError):
-            DemandPoint(quantity=-1.0, price=0.5)
-        with pytest.raises(ValidationError):
-            DemandPoint(quantity=1.0, price=-0.5)
-
-    def test_reachability_against_the_expanded_curve(self, table2):
-        # after a release the old working point sits strictly below the
-        # new line, while points beyond the new line stay unreachable
-        on_base_curve = DemandPoint(quantity=125.0, price=0.5)
-        assert on_base_curve.reachable(table2, alpha=0.0)
-        assert on_base_curve.reachable(table2, alpha=0.2)
-        beyond = DemandPoint(quantity=149.0, price=0.5)  # new line allows 150
-        assert not beyond.reachable(table2, alpha=0.0)
-        assert beyond.reachable(table2, alpha=0.2)
 
 
 class TestDemandQuantity:
@@ -264,10 +246,11 @@ class TestNetSurplus:
             net_surplus(table2, table2.l_n + 1.0)
 
     def test_vectorized_matches_scalar(self, table2):
-        grid = np.linspace(0.0, table2.l_n, 11)
+        # 5 of these 1001 points differ in the last bit between the paths
+        grid = np.linspace(0.0, table2.l_n, 1001)
         values = net_surplus(table2, grid)
         for l, v in zip(grid, values):
-            assert v == net_surplus(table2, float(l))
+            assert agree(float(v), net_surplus(table2, float(l)), surplus_scale(table2, l)), l
 
 
 class TestSurplusGradient:
@@ -314,6 +297,12 @@ def agree(x, y, scale=None, ulps=4):
     return abs(x - y) <= ulps * math.ulp(scale)
 
 
+def surplus_scale(s, l):
+    """Magnitude bound of the net surplus's two terms at loss ``l``: each
+    is rounded separately, and their difference can cancel."""
+    return 0.5 * s.p_star * s.q_star * (1.0 + s.alpha_n) * s.margin() ** 2 + (s.pi_s + s.pi_c_star) * l
+
+
 #: Bases at the edges of the float range, and any other nonnegative float.
 POWER_BASES = st.sampled_from(
     [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300, 1.7976931348623157e308, math.inf, math.nan]
@@ -349,7 +338,6 @@ class TestScalarAndArrayPaths:
             warnings.simplefilter("error")
             scalar = net_surplus(s, l)
             array = net_surplus(s, np.array([l, l]))
-        # both terms are rounded separately; their difference can cancel
-        scale = 0.5 * s.p_star * s.q_star * (1.0 + s.alpha_n) * s.margin() ** 2 + (s.pi_s + s.pi_c_star) * l
+        scale = surplus_scale(s, l)
         assert type(scalar) is float
         assert all(agree(scalar, float(v), scale) for v in array), (s, l, scalar, array)

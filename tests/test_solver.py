@@ -17,16 +17,12 @@ import _oracle
 import privopt.solver
 from conftest import OVERFLOWING_SURPLUS, TINY_OPTIMUM, fuzz_scenarios, make_random_scenario
 from privopt import (
-    DegenerateScenarioError,
     NumericError,
     Regime,
     Scenario,
     SolutionStatus,
-    UsageError,
     ValidationError,
     classify_regime,
-    construct_bracket,
-    decision_coefficients,
     feasibility_report,
     net_surplus,
     normalized_gradient,
@@ -35,7 +31,7 @@ from privopt import (
     solve_tradeoff,
     surplus_gradient,
 )
-from privopt.model import _log_coefficients
+from privopt.model import _coefficients, _log_coefficients
 from privopt.solver import MAX_ORACLE_POINTS, ORACLE_BLOCK, RTOL, XTOL, _gradient, brentq
 
 # nu between 1 and 1+theta: gradient peaks, two stationary points, interior max
@@ -116,7 +112,7 @@ def assert_oracle_optimal(s, sol, grid_points=257):
 
 class TestDecisionCoefficients:
     def test_reference_values(self, table2):
-        coeff_a, coeff_b = decision_coefficients(table2)
+        coeff_a, coeff_b = _coefficients(table2)
         a, b = _oracle.coefficients(table2)
         assert coeff_a == pytest.approx(float(a), rel=1e-13)
         assert coeff_b == pytest.approx(float(b), rel=1e-13)
@@ -124,22 +120,23 @@ class TestDecisionCoefficients:
         assert coeff_b == pytest.approx(3.17510194943e-5, rel=1e-9)
 
     def test_free_service_maximises_a(self, table2):
-        free_a, free_b = decision_coefficients(dataclasses.replace(table2, price=0.0))
-        a, b = decision_coefficients(table2)
+        free_a, free_b = _coefficients(dataclasses.replace(table2, price=0.0))
+        a, b = _coefficients(table2)
         assert free_a == pytest.approx(a / table2.margin() ** 2)
         assert free_b == b
 
     def test_b_scales_with_provider_survival(self, table2):
         # b is linear in (1 - pi_s) and vanishes in the certain-breach limit
-        b_ref = decision_coefficients(table2)[1] / (1.0 - table2.pi_s)
+        b_ref = _coefficients(table2)[1] / (1.0 - table2.pi_s)
         for pi_s in (0.0, 0.3, 0.9, 1.0 - 1e-12):
-            _, b = decision_coefficients(dataclasses.replace(table2, pi_s=pi_s))
+            _, b = _coefficients(dataclasses.replace(table2, pi_s=pi_s))
             assert b == pytest.approx(b_ref * (1.0 - pi_s), rel=1e-12)
 
     def test_degenerate_price_signals(self, table2):
+        # at or above the willingness-to-pay the demand, and with it a, is zero
+        b = _coefficients(table2)[1]
         for price in (1.0, 1.5):
-            with pytest.raises(DegenerateScenarioError):
-                decision_coefficients(dataclasses.replace(table2, price=price))
+            assert _coefficients(dataclasses.replace(table2, price=price)) == (0.0, b)
 
 
 class TestClassifyRegime:
@@ -212,7 +209,7 @@ class TestFeasibilityReport:
 
 class TestConstructBracket:
     def test_reference_bracket(self, table2):
-        l_l, l_u = construct_bracket(table2)
+        l_l, l_u = solve_tradeoff(table2).bracket
         ref_l, ref_u = _oracle.bracket(table2)
         assert l_u == pytest.approx(float(ref_u), rel=1e-12)
         assert l_l == pytest.approx(float(ref_l), rel=1e-12)
@@ -220,7 +217,7 @@ class TestConstructBracket:
         assert 0 < l_l < l_u
 
     def test_gradient_signs_and_containment(self, table2):
-        l_l, l_u = construct_bracket(table2)
+        l_l, l_u = solve_tradeoff(table2).bracket
         assert surplus_gradient(table2, l_l) > 0
         assert surplus_gradient(table2, l_u) < 0
         assert l_l < 3797 < l_u
@@ -229,24 +226,29 @@ class TestConstructBracket:
         rng = np.random.default_rng(7)
         for _ in range(50):
             s = make_random_scenario(rng, regime="lt1")
-            l_l, l_u = construct_bracket(s)
+            l_l, l_u = solve_tradeoff(s).bracket
             if s.pi_s > 0:
                 assert surplus_gradient(s, l_l) > 0
                 assert surplus_gradient(s, l_u) < 0
 
     def test_regime_mismatch(self, table2):
-        with pytest.raises(UsageError):
-            construct_bracket(dataclasses.replace(table2, nu=1.5, theta=0.2))
+        for nu, theta in ((1.0, 0.2), (1.05, 0.2), (1.2, 0.2), (1.5, 0.2)):
+            s = dataclasses.replace(table2, nu=nu, theta=theta)
+            assert classify_regime(s) is not Regime.NU_LT_1
+            assert solve_tradeoff(s).bracket is None
 
     def test_solver_reports_the_same_bracket(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             s = make_random_scenario(rng, regime="lt1")
-            assert solve_tradeoff(s).bracket == construct_bracket(s)
+            sol = solve_tradeoff(s)
+            if sol.status is SolutionStatus.INTERIOR:
+                l_l, l_u = sol.bracket
+                assert l_l <= sol.l_opt <= l_u, s
 
     def test_secure_bracket_collapses_on_root(self, table2):
         s = dataclasses.replace(table2, pi_s=0.0)
-        l_l, l_u = construct_bracket(s)
+        l_l, l_u = solve_tradeoff(s).bracket
         assert l_l == l_u
         assert abs(normalized_gradient(s, l_u)) < 1e-12
 
@@ -262,7 +264,7 @@ class TestSolveMonotoneRegime:
         assert sol.surplus == net_surplus(table2, sol.l_opt)
         assert sol.surplus == pytest.approx(36.0030936605, abs=1e-6)
         assert sol.critical_points == (sol.l_opt,)
-        assert sol.bracket == construct_bracket(table2)
+        assert sol.bracket[0] < sol.l_opt < sol.bracket[1]
         assert abs(normalized_gradient(table2, sol.l_opt)) < 1e-9
 
     def test_low_price_clamps_at_cap(self, table1):
@@ -613,7 +615,7 @@ class TestRootRefinement:
 
 def gradient_of(s):
     """The surplus gradient in ``l``."""
-    a, b = decision_coefficients(s)
+    a, b = _coefficients(s)
     return lambda l: _gradient(s, a, b, l)
 
 
