@@ -9,117 +9,16 @@ and provider security.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ClosedFormInapplicableError,
-    DomainError,
-    NumericError,
-    PrivoptError,
-    UsageError,
-    ValidationError,
-)
-from .model import (
-    ConsumptionRegion,
-    Scenario,
-    combined_breach_probability,
-    customer_breach_probability,
-    demand_quantity,
-    marginal_demand_factor,
-    net_surplus,
-    pareto_privacy_parameter,
-    price_taker_demand,
-    provider_revenue,
-    surplus_gradient,
-    valid_demand_region,
-)
-from .secure import (
-    SecureElasticities,
-    SecureQuasiElasticities,
-    optimal_loss_ratio,
-    secure_elasticities,
-    secure_feasible_loss,
-    secure_optimal_loss,
-    secure_quasi_elasticities,
-)
-from .sensitivity import (
-    DEFAULT_TORNADO_PLAN,
-    DIMENSIONAL_FACTORS,
-    DIMENSIONLESS_FACTORS,
-    SensitivityEntry,
-    SensitivityKind,
-    SweepSeries,
-    default_price_grid,
-    discrete_elasticity,
-    discrete_quasi_elasticity,
-    olr_sweep,
-    price_sweep,
-    revenue_sweep,
-    saturation_price,
-    tornado,
-)
-from .solver import (
-    FeasibilityCondition,
-    FeasibilityReport,
-    Regime,
-    SolutionStatus,
-    TradeoffSolution,
-    classify_regime,
-    feasibility_report,
-    normalized_gradient,
-    oracle_grid_argmax,
-    solve_discrete,
-    solve_tradeoff,
-)
+from . import errors, model, secure, sensitivity, solver
+from .errors import *
+from .model import *
+from .secure import *
+from .sensitivity import *
+from .solver import *
 
-__all__ = [
-    "__version__",
-    "ClosedFormInapplicableError",
-    "ConsumptionRegion",
-    "DEFAULT_TORNADO_PLAN",
-    "DIMENSIONAL_FACTORS",
-    "DIMENSIONLESS_FACTORS",
-    "DomainError",
-    "FeasibilityCondition",
-    "FeasibilityReport",
-    "NumericError",
-    "PrivoptError",
-    "Regime",
-    "Scenario",
-    "SecureElasticities",
-    "SecureQuasiElasticities",
-    "SensitivityEntry",
-    "SensitivityKind",
-    "SolutionStatus",
-    "SweepSeries",
-    "TradeoffSolution",
-    "UsageError",
-    "ValidationError",
-    "classify_regime",
-    "combined_breach_probability",
-    "customer_breach_probability",
-    "default_price_grid",
-    "demand_quantity",
-    "discrete_elasticity",
-    "discrete_quasi_elasticity",
-    "feasibility_report",
-    "marginal_demand_factor",
-    "net_surplus",
-    "normalized_gradient",
-    "olr_sweep",
-    "optimal_loss_ratio",
-    "oracle_grid_argmax",
-    "pareto_privacy_parameter",
-    "price_sweep",
-    "price_taker_demand",
-    "provider_revenue",
-    "revenue_sweep",
-    "saturation_price",
-    "secure_elasticities",
-    "secure_feasible_loss",
-    "secure_optimal_loss",
-    "secure_quasi_elasticities",
-    "solve_discrete",
-    "solve_tradeoff",
-    "surplus_gradient",
-    "tornado",
-    "valid_demand_region",
-]
+__all__ = ["__version__"]
+__all__ += errors.__all__
+__all__ += model.__all__
+__all__ += secure.__all__
+__all__ += sensitivity.__all__
+__all__ += solver.__all__

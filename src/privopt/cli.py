@@ -96,7 +96,6 @@ class ScenarioFile:
     sweep: dict | None = None
     tornado_plan: tuple | None = None
     losses: tuple | None = None
-    path: str | None = None
     digest: str | None = None
 
 
@@ -221,7 +220,7 @@ def load_scenario(path: str) -> ScenarioFile:
 
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     return ScenarioFile(
-        scenario=scenario, sweep=sweep, tornado_plan=plan, losses=losses, path=path, digest=digest
+        scenario=scenario, sweep=sweep, tornado_plan=plan, losses=losses, digest=digest
     )
 
 
@@ -539,6 +538,16 @@ def write_report(bundle: ReportBundle, fmt: str, path: str) -> None:
 # entry point
 
 
+#: Package errors raised while running a command or writing its report, in
+#: the order they are matched: (error classes, stderr label, exit code).
+_FAILURES = (
+    (NumericError, "numeric failure", EXIT_NUMERIC),
+    ((ValidationError, DomainError), "validation error", EXIT_VALIDATION),
+    ((UsageError, ClosedFormInapplicableError), "usage error", EXIT_USAGE),
+    (PrivoptError, "error", EXIT_VALIDATION),
+)
+
+
 class _UsageExit(Exception):
     """A command-line usage error raised in place of argparse's exit(2)."""
 
@@ -599,28 +608,16 @@ def main(argv=None) -> int:
 
     try:
         bundle = run_command(args.command, scenario_file, args)
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValidationError, DomainError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (UsageError, ClosedFormInapplicableError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if args.out:
+            try:
+                write_report(bundle, args.format, args.out)
+            except OSError as exc:
+                print(f"cannot write report: {exc}", file=sys.stderr)
+                return EXIT_IO
     except PrivoptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    if args.out:
-        try:
-            write_report(bundle, args.format, args.out)
-        except OSError as exc:
-            print(f"cannot write report: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except NumericError as exc:
-            print(f"numeric failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+        label, code = next((label, code) for classes, label, code in _FAILURES if isinstance(exc, classes))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     return EXIT_OK
 
 

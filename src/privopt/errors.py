@@ -1,5 +1,14 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "PrivoptError",
+    "ValidationError",
+    "DomainError",
+    "UsageError",
+    "NumericError",
+    "ClosedFormInapplicableError",
+]
+
 
 class PrivoptError(Exception):
     """Base class for all package errors."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ClosedFormInapplicableError, DomainError
 from .model import _log_coefficients
-from .solver import REGIME_TOL, solve_tradeoff
+from .solver import REGIME_TOL, _exp, solve_tradeoff
 
 __all__ = [
     "SecureElasticities",
@@ -79,11 +79,7 @@ def secure_optimal_loss(s) -> tuple:
     d = _exponent_denominator(s)
     if s.margin() == 0.0:
         return 0.0, 0.0
-    log_raw = _log_coefficients(s)[2] / d
-    try:
-        raw = math.exp(log_raw)
-    except OverflowError:
-        raw = math.inf
+    raw = _exp(_log_coefficients(s)[2] / d)
     return raw, min(raw, s.l_n)
 
 

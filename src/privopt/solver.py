@@ -396,8 +396,8 @@ def oracle_grid_argmax(s: Scenario, n: int) -> float:
     value wins as it does in ``numpy.argmax``.  The grid is walked in
     blocks of ``ORACLE_BLOCK`` points, so memory is O(block), not O(n);
     each block holds the same floats as that slice of
-    ``numpy.linspace(0, l_n, n)``, and the result is the same float as
-    the full grid's argmax.
+    ``numpy.linspace(0, l_n, n)`` clipped to ``l_n``, and the result is
+    the same float as the full grid's argmax.
     """
     if n < 2:
         raise ValidationError("n", "grid needs at least 2 points")
@@ -413,6 +413,8 @@ def oracle_grid_argmax(s: Scenario, n: int) -> float:
         grid = np.arange(start, min(start + ORACLE_BLOCK, n), dtype=np.float64)
         # numpy.linspace's two branches; the second keeps a subnormal l_n
         grid = grid * step if step else grid / div * s.l_n
+        # a subnormal step can round up, which takes linspace's last points past l_n
+        np.minimum(grid, s.l_n, out=grid)
         if start + ORACLE_BLOCK >= n:
             grid[-1] = s.l_n
         block = net_surplus(s, grid)

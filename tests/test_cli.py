@@ -14,7 +14,15 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings
 
-from privopt import NumericError, Scenario, ValidationError
+from privopt import (
+    ClosedFormInapplicableError,
+    DomainError,
+    NumericError,
+    PrivoptError,
+    Scenario,
+    UsageError,
+    ValidationError,
+)
 from privopt import cli
 from privopt.cli import (
     EXIT_IO,
@@ -187,6 +195,26 @@ class TestExitCodes:
         assert main(["oracle-check", TABLE2, "--grid", "10000"]) == EXIT_NUMERIC
 
     @pytest.mark.parametrize(
+        "error, code, label",
+        [
+            (NumericError("no convergence"), EXIT_NUMERIC, "numeric failure"),
+            (ValidationError("theta", "out of range"), EXIT_VALIDATION, "validation error"),
+            (DomainError("outside the domain"), EXIT_VALIDATION, "validation error"),
+            (UsageError("unsupported regime"), EXIT_USAGE, "usage error"),
+            (ClosedFormInapplicableError("nu >= 1 + theta"), EXIT_USAGE, "usage error"),
+            (PrivoptError("unclassified"), EXIT_VALIDATION, "error"),
+        ],
+        ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+    )
+    def test_package_error_maps_to_exit_code(self, monkeypatch, capsys, error, code, label):
+        def fail(sf, args, out):
+            raise error
+
+        monkeypatch.setitem(cli._HANDLERS, "solve", fail)
+        assert main(["solve", TABLE2]) == code
+        assert capsys.readouterr().err == f"{label}: {error}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["oracle-check", TABLE2, "--grid", "0"],
@@ -304,14 +332,21 @@ class TestImport:
         import privopt
         from privopt import errors, model, secure, sensitivity, solver
 
-        modules = (model, solver, secure, sensitivity)
+        modules = (errors, model, solver, secure, sensitivity)
         module_names = [name for m in modules for name in m.__all__]
-        error_names = {name for name in vars(errors) if name.endswith("Error")}
-        assert set(privopt.__all__) == {"__version__"} | error_names | set(module_names)
+        assert set(errors.__all__) == {name for name in vars(errors) if name.endswith("Error")}
+        assert set(privopt.__all__) == {"__version__"} | set(module_names)
         for package, names in ((privopt, privopt.__all__), (cli, cli.__all__)):
             assert len(set(names)) == len(names), package.__name__
             assert all(hasattr(package, name) for name in names), package.__name__
         assert len(set(module_names)) == len(module_names)
+        # a star import binds exactly the listed names, each the owning module's object
+        namespace = {}
+        exec("from privopt import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(privopt.__all__)
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(privopt, name) is getattr(module, name), name
 
 
 class TestCommands:

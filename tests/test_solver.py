@@ -455,6 +455,16 @@ class TestOracleGridArgmax:
         s = dataclasses.replace(table2, price=table2.p_star)
         assert oracle_grid_argmax(s, 10_001) == 0.0
 
+    @pytest.mark.parametrize("n", [32768, 32769])
+    def test_subnormal_step_stays_inside_the_cap(self, n):
+        # l_n / (n - 1) rounds up to the smallest subnormal, so linspace's
+        # last points pass l_n; the oracle clips them to l_n
+        s = SUBNORMAL_CAP
+        grid = np.minimum(np.linspace(0.0, s.l_n, n), s.l_n)
+        best = oracle_grid_argmax(s, n)
+        assert 0.0 <= best <= s.l_n
+        assert best == grid[int(np.argmax(net_surplus(s, grid)))]
+
     def test_needs_two_points(self, table2):
         with pytest.raises(ValidationError):
             oracle_grid_argmax(table2, 1)
