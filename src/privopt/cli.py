@@ -44,7 +44,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .model import Scenario, pareto_privacy_parameter
+from .model import Scenario, _gain, pareto_privacy_parameter
 from .secure import (
     optimal_loss_ratio,
     secure_elasticities,
@@ -398,7 +398,8 @@ def _cmd_oracle_check(sf, args, out):
     grid_best = oracle_grid_argmax(s, n)
     tolerance = 2.0 * s.l_n / (n - 1)
     diff = abs(sol.l_opt - grid_best)
-    agrees = diff <= tolerance
+    # a far-off grid point whose gain is no larger is a tie, not a miss
+    agrees = diff <= tolerance or _gain(s, sol.l_opt) >= _gain(s, grid_best)
     out.write(f"solver l_opt      {sol.l_opt:.10g}\n")
     out.write(f"oracle argmax     {grid_best:.10g}\n")
     out.write(f"|difference|      {diff:.3e} (tolerance {tolerance:.3e})\n")

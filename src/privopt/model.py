@@ -6,6 +6,8 @@ marginal demand factor earned by accepting a potential loss ``l`` follows
 the power law ``alpha(l) = alpha_n * (l / l_n)**nu``.  The net surplus is
 the consumption surplus on the expanded curve minus the expected breach
 loss; its maximiser over ``[0, l_n]`` is the customer's optimal exposure.
+Losses are compared by their gain over ``l = 0`` (``_gain``), and the
+decision equation in ``t = log l`` is built here (``_decision_equation``).
 
 A breach happens when either side of the customer/provider pair fails,
 so the provider-side and customer-side probabilities compose like a
@@ -269,6 +271,31 @@ def pareto_privacy_parameter(benefit_fraction: float, loss_fraction: float) -> f
     return math.log(benefit_fraction) / math.log(loss_fraction)
 
 
+def _surplus_scale(s: Scenario) -> float:
+    """Net surplus at ``l = 0``, ``C = (p*q*/2) margin**2``, evaluated as
+    ``(0.5 p* margin)(q* margin)``; DomainError where ``C`` overflows."""
+    m = s.margin()
+    c = (0.5 * s.p_star * m) * (s.q_star * m)
+    if c == math.inf:
+        raise DomainError("surplus scale (p*q*/2) margin^2 overflows the float range")
+    return c
+
+
+def _gain(s: Scenario, l):
+    """Net surplus at ``l`` minus its value at ``l = 0``::
+
+        C alpha_n (l/l_n)^nu - [pi_s + pi_c* (1 - pi_s) (l/l_n)^theta] l
+
+    Exactly 0 at ``l == 0``.  Losses are ranked by their gain, because
+    two surpluses can round to the same float, ``C`` swamping the
+    difference.  Array-compatible in ``l``.
+    """
+    l = _in_loss_range(s, l)
+    ratio = l / s.l_n
+    benefit = _surplus_scale(s) * (s.alpha_n * _powl(ratio, s.nu))
+    return benefit - (s.pi_s + s.pi_c_star * (1.0 - s.pi_s) * _powl(ratio, s.theta)) * l
+
+
 def net_surplus(s: Scenario, l):
     """Net surplus at potential loss ``l``.
 
@@ -278,18 +305,11 @@ def net_surplus(s: Scenario, l):
         (p*q*/2) [1 + alpha_n (l/l_n)^nu] margin^2
             - [pi_s + pi_c* (1 - pi_s) (l/l_n)^theta] l
 
-    where ``margin = max(0, 1 - price/p_star)``.  At ``l == 0`` this is
-    exactly ``(p*q*/2) * margin**2``.  Array-compatible in ``l``.
+    where ``margin = max(0, 1 - price/p_star)``, evaluated as
+    ``_surplus_scale + _gain``; DomainError where ``(p*q*/2) margin^2``
+    overflows.  Array-compatible in ``l``.
     """
-    l = _in_loss_range(s, l)
-    ratio = l / s.l_n
-    consumption = (
-        0.5 * s.p_star * s.q_star
-        * (1.0 + s.alpha_n * _powl(ratio, s.nu))
-        * s.margin() ** 2
-    )
-    expected_loss = (s.pi_s + s.pi_c_star * (1.0 - s.pi_s) * _powl(ratio, s.theta)) * l
-    return consumption - expected_loss
+    return _surplus_scale(s) + _gain(s, l)
 
 
 def _coefficients(s: Scenario) -> tuple:
@@ -313,14 +333,41 @@ def _log_coefficients(s: Scenario) -> tuple:
     They come from the logs of the parameters, so they stay finite where
     ``a`` or ``b`` itself would under- or overflow.  ``lr / (theta - nu +
     1)`` is the log of the crossing of the two power terms, which is the
-    secure closed-form optimum.  Needs ``price < p_star``.
+    secure closed-form optimum.  ``la`` and ``lr`` are ``-inf`` when the
+    price kills the demand (``price >= p_star``).
     """
     log_k = _log_product(0.5, s.q_star, s.p_star, s.nu, s.alpha_n)
     log_c = math.log(s.pi_c_star * (s.theta + 1.0))
-    log_ln, log_m2 = math.log(s.l_n), 2.0 * math.log(s.margin())
+    m = s.margin()
+    log_m2 = 2.0 * math.log(m) if m > 0.0 else -math.inf
+    log_ln = math.log(s.l_n)
     la = log_k + log_m2 - s.nu * log_ln
     lb = log_c - s.theta * log_ln + math.log1p(-s.pi_s)
     return la, lb, log_k - log_c + (s.theta - s.nu) * log_ln + log_m2
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """``log(exp(x) + exp(y))`` without overflow; ``-inf`` is a zero term."""
+    hi, lo = (x, y) if x > y else (y, x)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def _decision_equation(s: Scenario) -> tuple:
+    """The decision equation in ``t = log l`` and the logs it is built from.
+
+    Returns ``(h, la, lb, lp, lr)``, with ``la``, ``lb`` and ``lr`` from
+    ``_log_coefficients``, ``lp = log pi_s`` (``-inf`` when ``pi_s == 0``)
+    and::
+
+        h(t) = la + (nu-1) t - logaddexp(lp, lb + theta t)
+
+    the log of the ratio of the two sides of ``a l**(nu-1) = pi_s + b
+    l**theta``: it has the sign of the surplus gradient at ``l = e^t``.
+    """
+    la, lb, lr = _log_coefficients(s)
+    lp = math.log(s.pi_s) if s.pi_s > 0.0 else -math.inf
+    nu1, theta = s.nu - 1.0, s.theta
+    return (lambda t: la + nu1 * t - _logaddexp(lp, lb + theta * t)), la, lb, lp, lr
 
 
 def _gradient(s: Scenario, a: float, b: float, l):

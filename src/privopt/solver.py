@@ -2,7 +2,7 @@
 
 The first-order condition for an interior optimum is the decision
 equation ``a * l**(nu-1) = pi_s + b * l**theta``.  The solver works on
-its log-ratio form in ``t = log l``::
+its log-ratio form in ``t = log l``, which ``model`` builds::
 
     h(t) = la + (nu-1) t - logaddexp(log pi_s, lb + theta t)
 
@@ -17,7 +17,9 @@ closed form.  An absolute error in ``t`` is a relative error in ``l``:
 roots come out within about 1e-12 relative of the exact root, plus the
 rounding floor of ``h`` where a root is ill-conditioned.  In every regime
 the returned loss is the argmax of the net surplus over ``[0, l_n]``,
-ties broken toward the smaller loss.
+ties broken toward the smaller loss.  Candidate losses are compared by
+their gain over ``l = 0`` (``model._gain``), not by the surplus, whose
+constant part can swamp the difference between them.
 
 A brute-force grid oracle is included for validation only.
 """
@@ -30,15 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NumericError, UsageError, ValidationError
-from .model import (
-    Scenario,
-    _cap_risk,
-    _coefficients,
-    _gradient,
-    _log_coefficients,
-    _powl,
-    net_surplus,
-)
+from .model import Scenario, _cap_risk, _decision_equation, _gain, _logaddexp, net_surplus
 
 __all__ = [
     "Regime",
@@ -136,15 +130,14 @@ def normalized_gradient(s: Scenario, l: float) -> float:
     """Surplus gradient divided by the sum of its term magnitudes.
 
     The normalisation ``a*l**(nu-1) + pi_s + b*l**theta`` makes interior
-    optimality checks scale-free across scenarios.
+    optimality checks scale-free across scenarios.  With ``A = a*l**(nu-1)``
+    and ``B = pi_s + b*l**theta``, ``(A - B)/(A + B) = tanh(h/2)`` for
+    ``h = log(A/B)``, the decision equation at ``t = log l``; it lies in
+    ``[-1, 1]`` and is -1 when the price kills the demand.
     """
     if l <= 0:
         raise UsageError("normalized gradient requires l > 0")
-    a, b = _coefficients(s)
-    scale = a * _powl(l, s.nu - 1.0) + s.pi_s + b * _powl(l, s.theta)
-    if scale == 0.0:
-        return 0.0
-    return _gradient(s, a, b, l) / scale
+    return math.tanh(_decision_equation(s)[0](math.log(l)) / 2.0)
 
 
 def classify_regime(s: Scenario) -> Regime:
@@ -253,12 +246,6 @@ def brentq(f, lo: float, hi: float, maxiter: int = MAX_ITER) -> float:
     raise NumericError(f"root refinement failed to converge in {maxiter} iterations")
 
 
-def _logaddexp(x: float, y: float) -> float:
-    """``log(exp(x) + exp(y))`` without overflow; ``-inf`` is a zero term."""
-    hi, lo = (x, y) if x > y else (y, x)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
 def _exp(t: float) -> float:
     """``exp(t)``, ``inf`` past the float range instead of OverflowError."""
     return math.exp(t) if t <= _T_MAX else math.inf
@@ -298,8 +285,9 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
 
     With ``pi_s == 0`` the only root outside ``nu == 1`` is the crossing
     ``t_u``, which is also the secure closed form.  The optimum is the
-    candidate with the largest net surplus, ties going to the smaller
-    loss, and its status follows from where it sits.
+    candidate with the largest gain over ``l = 0`` (``model._gain``),
+    ties going to the smaller loss; its status follows from where it
+    sits, and its ``surplus`` is ``net_surplus`` there.
     """
     regime = classify_regime(s)
     roots, bracket = (), None
@@ -307,10 +295,8 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
         # price at or above willingness-to-pay: only the loss term remains
         candidates = (0.0,)
     else:
-        la, lb, lr = _log_coefficients(s)
-        lp = math.log(s.pi_s) if s.pi_s > 0.0 else -math.inf
+        h, la, lb, lp, lr = _decision_equation(s)
         nu1, theta, d = s.nu - 1.0, s.theta, s.theta - s.nu + 1.0
-        h = lambda t: la + nu1 * t - _logaddexp(lp, lb + theta * t)  # noqa: E731
         if regime is Regime.NU_EQ_1:
             if la > lp:
                 roots = ((la + math.log(-math.expm1(lp - la)) - lb) / theta,)
@@ -353,15 +339,16 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
             if regime is Regime.SUBCASE_A and s.pi_s > 0.0:
                 candidates += (0.0, s.l_n)
 
-    l_opt = surplus = None
-    for l in sorted(set(candidates)):
-        v = net_surplus(s, l)
-        if l_opt is None or v > surplus:
-            l_opt, surplus = l, v
+    ranked = sorted(set(candidates))
+    l_opt = ranked[0]
+    if len(ranked) > 1:
+        # max keeps the first of equal gains, so ties go to the smaller
+        # loss; the gain at 0 is 0 exactly and needs no evaluation
+        l_opt = max(ranked, key=lambda l: _gain(s, l) if l else 0.0)
     return TradeoffSolution(
         l_opt=l_opt,
         status=_status_for(l_opt, s.l_n),
-        surplus=surplus,
+        surplus=net_surplus(s, l_opt),
         critical_points=tuple(filter(_representable, map(_exp, roots))),
         regime=regime,
         bracket=bracket if bracket and all(map(_representable, bracket)) else None,
@@ -371,8 +358,10 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
 def solve_discrete(s: Scenario, losses) -> tuple:
     """Best element of an increasing list of loss levels.
 
-    ``l = 0`` always competes implicitly; if it wins the returned index
-    is None.  Ties go to the smaller loss.
+    Returns ``(index, loss, net surplus)``.  ``l = 0`` always competes
+    implicitly; if it wins the returned index is None.  Levels are
+    compared by their gain over ``l = 0`` (``model._gain``), ties going
+    to the smaller loss.
     """
     seq = [float(l) for l in losses]
     for i, l in enumerate(seq):
@@ -380,12 +369,12 @@ def solve_discrete(s: Scenario, losses) -> tuple:
             raise ValidationError("losses", f"entry {i} ({l}) outside (0, {s.l_n}]")
         if i and l <= seq[i - 1]:
             raise ValidationError("losses", f"entries must be strictly increasing at index {i}")
-    best = (None, 0.0, net_surplus(s, 0.0))
+    index, loss, best = None, 0.0, 0.0  # the gain at l = 0
     for i, l in enumerate(seq):
-        v = net_surplus(s, l)
-        if v > best[2]:
-            best = (i, l, v)
-    return best
+        gain = _gain(s, l)
+        if gain > best:
+            index, loss, best = i, l, gain
+    return index, loss, net_surplus(s, loss)
 
 
 def oracle_grid_argmax(s: Scenario, n: int) -> float:

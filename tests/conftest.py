@@ -44,6 +44,15 @@ OVERFLOWING_SURPLUS = {
     "l_n": 1e4, "pi_s": 1e-4, "pi_c_star": 1e-3,
 }
 
+#: nu == 1 scenario with a subnormal l_n: on a 200_001-point grid the step
+#: l_n / (n - 1) underflows to 0, and numpy.linspace divides before it
+#: scales.  The surplus first reaches its maximum, 1 + 2**-52, just past
+#: l_n / 2, while the solver's optimum is l_n: a tie in floats.
+SUBNORMAL_CAP = {
+    "q_star": 2.0, "p_star": 1.0, "price": 0.0, "nu": 1.0, "theta": 0.5,
+    "alpha_n": 2.0**-52, "l_n": 1e-319, "pi_s": 0.0, "pi_c_star": 0.5,
+}
+
 #: nu == 1 scenario with a breach-proof provider whose optimum is the
 #: subnormal 1.38e-321: relative sensitivities against it overflow
 SUBNORMAL_OPTIMUM = {

@@ -22,7 +22,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 import _oracle
 from _gradcheck import relative_gradient_error
@@ -123,14 +122,21 @@ def test_criterion_05_optimal_loss_ratio(table2):
 
 
 def test_criterion_06_quasi_elasticity_sign_thresholds(table2):
-    def qeps_nu(p):
-        return secure_quasi_elasticities(dataclasses.replace(table2, price=p)).qeps_nu
+    # qeps_nu changes sign where l*/l_n = exp(-1/nu) and qeps_theta where
+    # l*/l_n = exp(-1/(1+theta)); the secure optimum scales with the price
+    # as (1 - p/p*)**(2/d), d = theta - nu + 1, which inverts in closed form
+    free = secure_optimal_loss(dataclasses.replace(table2, price=0.0))[0]
+    d = table2.theta - table2.nu + 1.0
 
-    def qeps_theta(p):
-        return secure_quasi_elasticities(dataclasses.replace(table2, price=p)).qeps_theta
+    def price_at(ratio):
+        return table2.p_star * (1.0 - (ratio * table2.l_n / free) ** (d / 2.0))
 
-    p_nu = brentq(qeps_nu, 0.9, 0.9989, xtol=1e-10)
-    p_theta = brentq(qeps_theta, 0.5, 0.75, xtol=1e-10)
+    def qeps(p):
+        return secure_quasi_elasticities(dataclasses.replace(table2, price=p))
+
+    p_nu = price_at(math.exp(-1.0 / table2.nu))
+    p_theta = price_at(math.exp(-1.0 / (1.0 + table2.theta)))
+    assert abs(qeps(p_nu).qeps_nu) < 1e-9 and abs(qeps(p_theta).qeps_theta) < 1e-9
     ok = (
         check("06", f"nu-response sign change at p = {p_nu:.4f} within 0.984 +- 0.002", abs(p_nu - 0.984) <= 0.002)
         & check(

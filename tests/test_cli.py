@@ -43,8 +43,10 @@ from privopt.solver import MAX_ORACLE_POINTS
 from conftest import (
     OVERFLOWING_BRACKET,
     OVERFLOWING_EQ1,
+    OVERFLOWING_SURPLUS,
     REPO_ROOT,
     SCENARIO_DIR,
+    SUBNORMAL_CAP,
     SUBNORMAL_OPTIMUM,
     TINY_OPTIMUM,
     fuzz_scenarios,
@@ -191,7 +193,9 @@ class TestExitCodes:
     def test_numeric_failure_exit(self, monkeypatch, capsys):
         import privopt.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "oracle_grid_argmax", lambda s, n: 0.0)
+        # a solver that stops at l = 0 loses to the grid oracle's point
+        solve = cli_mod.solve_tradeoff
+        monkeypatch.setattr(cli_mod, "solve_tradeoff", lambda s: dataclasses.replace(solve(s), l_opt=0.0))
         assert main(["oracle-check", TABLE2, "--grid", "10000"]) == EXIT_NUMERIC
 
     @pytest.mark.parametrize(
@@ -376,6 +380,20 @@ class TestCommands:
     def test_oracle_check_agrees(self, capsys):
         assert main(["oracle-check", TABLE2, "--grid", "200000"]) == EXIT_OK
         assert "agreement         yes" in capsys.readouterr().out
+
+    def test_oracle_check_accepts_a_tie(self, tmp_path, capsys):
+        # the grid's first maximum lies half the cap away from the solver's
+        # l_n, but its gain is no larger: a tie in floats, not a miss
+        path = tmp_path / "subnormal_cap.json"
+        path.write_text(json.dumps(SUBNORMAL_CAP))
+        assert main(["oracle-check", str(path), "--grid", "32769"]) == EXIT_OK
+        assert "agreement         yes" in capsys.readouterr().out
+
+    def test_overflowing_surplus_exits_validation(self, tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(OVERFLOWING_SURPLUS))
+        assert main(["solve", str(path), "--out", str(tmp_path / "solve.json")]) == EXIT_VALIDATION
+        assert "surplus scale" in capsys.readouterr().err
 
     def test_secure_reports_olr(self, capsys):
         assert main(["secure", TABLE2]) == EXIT_OK

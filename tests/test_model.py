@@ -22,10 +22,11 @@ from privopt import (
     pareto_privacy_parameter,
     price_taker_demand,
     provider_revenue,
+    solve_tradeoff,
     surplus_gradient,
     valid_demand_region,
 )
-from privopt.model import _powl
+from privopt.model import _gain, _powl
 
 
 class TestScenarioValidation:
@@ -238,6 +239,26 @@ class TestNetSurplus:
             expected = -(s.pi_s + s.pi_c_star * (1 - s.pi_s) * (l / s.l_n) ** s.theta) * l
             assert net_surplus(s, l) == pytest.approx(expected, rel=1e-12)
             assert net_surplus(s, l) <= 0.0
+
+    def test_gain_is_the_surplus_over_zero_loss(self, table2):
+        assert _gain(table2, 0.0) == 0.0
+        assert not _gain(table2, np.zeros(3)).any()
+        for l in (0.0, 1.0, 3797.0, table2.l_n):
+            assert net_surplus(table2, l) == net_surplus(table2, 0.0) + _gain(table2, l)
+        exact = _oracle.net_surplus(table2, 3797.0) - _oracle.net_surplus(table2, 0.0)
+        assert _gain(table2, 3797.0) == pytest.approx(float(exact), rel=1e-13)
+
+    def test_large_surplus_stays_finite(self):
+        # p*q*/2 overflows on its own; the surplus, about 5e289, does not.  The
+        # margin 1 - price/p* cancels to 1e-10, so its float is good to ~1e-6
+        s = Scenario(
+            q_star=1e10, p_star=1e300, price=1e300 * (1 - 1e-10), nu=0.5, theta=0.3,
+            alpha_n=0.5, l_n=1e4, pi_s=1e-4, pi_c_star=1e-3,
+        )
+        for l in (0.0, s.l_n):
+            assert net_surplus(s, l) == pytest.approx(float(_oracle.net_surplus(s, l)), rel=1e-5)
+        assert net_surplus(s, 0.0) == pytest.approx(5e289, rel=1e-5)
+        assert solve_tradeoff(s).surplus == net_surplus(s, s.l_n)
 
     def test_domain(self, table2):
         with pytest.raises(DomainError):

@@ -15,8 +15,9 @@ from scipy.optimize import brentq as reference_brentq
 
 import _oracle
 import privopt.solver
-from conftest import OVERFLOWING_SURPLUS, TINY_OPTIMUM, fuzz_scenarios, make_random_scenario
+from conftest import OVERFLOWING_SURPLUS, SUBNORMAL_CAP, TINY_OPTIMUM, fuzz_scenarios, make_random_scenario
 from privopt import (
+    DomainError,
     NumericError,
     Regime,
     Scenario,
@@ -31,8 +32,8 @@ from privopt import (
     solve_tradeoff,
     surplus_gradient,
 )
-from privopt.model import _coefficients, _log_coefficients
-from privopt.solver import MAX_ORACLE_POINTS, ORACLE_BLOCK, RTOL, XTOL, _gradient, brentq
+from privopt.model import _coefficients, _decision_equation, _gradient
+from privopt.solver import MAX_ORACLE_POINTS, ORACLE_BLOCK, RTOL, XTOL, brentq
 
 # nu between 1 and 1+theta: gradient peaks, two stationary points, interior max
 SUBCASE_A_INTERIOR = Scenario(
@@ -86,12 +87,12 @@ SUBNORMAL_PEAK = Scenario(
     theta=0.024749160730280505, alpha_n=10.0**-0.25, l_n=10.0**6.625, pi_s=1e-08, pi_c_star=0.1,
 )
 
-# subnormal l_n: on a 200_001-point grid the step l_n / (n - 1) underflows
-# to 0, and numpy.linspace divides before it scales.  The surplus first
-# reaches its maximum, 1 + 2**-52, just past l_n / 2.
-SUBNORMAL_CAP = Scenario(
-    q_star=2.0, p_star=1.0, price=0.0, nu=1.0, theta=0.5,
-    alpha_n=2.0**-52, l_n=1e-319, pi_s=0.0, pi_c_star=0.5,
+# 1 < nu < 1 + theta with an interior gain of about 7.3e-15 on a surplus of
+# 1.5e6: the float surpluses at 0 and at the root are equal, their gains are not
+SWAMPED_GAIN = Scenario(
+    q_star=39.63525824274204, p_star=145487.1795179883, price=40540.97793718545,
+    nu=1.172386138415872, theta=0.44524999388319525, alpha_n=0.07671223144676435,
+    l_n=158581265471.55164, pi_s=2.9992278311875015e-10, pi_c_star=0.008841208378965851,
 )
 
 
@@ -459,7 +460,7 @@ class TestOracleGridArgmax:
     def test_subnormal_step_stays_inside_the_cap(self, n):
         # l_n / (n - 1) rounds up to the smallest subnormal, so linspace's
         # last points pass l_n; the oracle clips them to l_n
-        s = SUBNORMAL_CAP
+        s = Scenario(**SUBNORMAL_CAP)
         grid = np.minimum(np.linspace(0.0, s.l_n, n), s.l_n)
         best = oracle_grid_argmax(s, n)
         assert 0.0 <= best <= s.l_n
@@ -502,11 +503,18 @@ class TestOracleGridArgmax:
         s=fuzz_scenarios(),
         n=st.sampled_from([2, 3, ORACLE_BLOCK - 1, ORACLE_BLOCK + 1, 2 * ORACLE_BLOCK, 200_001]),
     )
-    @example(s=SUBNORMAL_CAP, n=200_001)
-    @example(s=Scenario(**OVERFLOWING_SURPLUS), n=2 * ORACLE_BLOCK)  # inf everywhere: 0 wins
+    @example(s=Scenario(**SUBNORMAL_CAP), n=200_001)
     @settings(max_examples=60, deadline=None)
     def test_blocks_match_the_full_grid(self, s, n):
         assert oracle_grid_argmax(s, n) == _oracle.grid_argmax(s, n)
+
+    def test_overflowing_surplus_is_a_domain_error(self):
+        # (p*q*/2) margin^2 lies beyond the float range: no surplus to rank
+        s = Scenario(**OVERFLOWING_SURPLUS)
+        with pytest.raises(DomainError, match="surplus scale"):
+            oracle_grid_argmax(s, 2 * ORACLE_BLOCK)
+        with pytest.raises(DomainError, match="surplus scale"):
+            solve_tradeoff(s)
 
 
 class TestStreamRegressions:
@@ -527,6 +535,34 @@ class TestOracleProperty:
             warnings.simplefilter("error", RuntimeWarning)
             sol = solve_tradeoff(s)
         assert_oracle_optimal(s, sol)
+
+    @given(s=fuzz_scenarios())
+    @example(s=SWAMPED_GAIN)
+    @settings(max_examples=200, deadline=None)
+    def test_pick_is_an_exact_maximiser(self, s):
+        # every candidate the solver weighs, ranked by the 50-digit surplus
+        # with no tolerance: none may beat the pick
+        sol = solve_tradeoff(s)
+        candidates = [0.0, s.l_n, *(min(c, s.l_n) for c in sol.critical_points)]
+        best = max(_oracle.net_surplus(s, l) for l in candidates)
+        assert _oracle.net_surplus(s, sol.l_opt) >= best, (s, sol)
+
+
+class TestNormalizedGradient:
+    def test_matches_the_linear_form(self, table2):
+        # (A - B)/(A + B) with A = a l**(nu-1), B = pi_s + b l**theta
+        a, b = _coefficients(table2)
+        for l in (1e-3, 1.0, 3797.0, table2.l_n):
+            big_a, big_b = a * l ** (table2.nu - 1.0), table2.pi_s + b * l**table2.theta
+            assert normalized_gradient(table2, l) == pytest.approx((big_a - big_b) / (big_a + big_b), abs=1e-15)
+
+    @pytest.mark.parametrize("pi_s", [0.0, 1e-4])
+    @pytest.mark.parametrize("ratio", [1.0, 1.5])
+    def test_no_demand_is_minus_one(self, table2, pi_s, ratio):
+        # la is -inf at price >= p_star, not a ValueError from log(0)
+        s = dataclasses.replace(table2, price=ratio * table2.p_star, pi_s=pi_s)
+        for l in (1e-300, 1.0, s.l_n):
+            assert normalized_gradient(s, l) == -1.0
 
 
 def rounding_floor(s, t, l):
@@ -629,13 +665,6 @@ def gradient_of(s):
     return lambda l: _gradient(s, a, b, l)
 
 
-def log_form(s):
-    """The solver's ``h(t)``, the decision equation in ``t = log l``."""
-    la, lb, _ = _log_coefficients(s)
-    lp = math.log(s.pi_s) if s.pi_s > 0 else -math.inf
-    return lambda t: la + (s.nu - 1.0) * t - float(np.logaddexp(lp, lb + s.theta * t))
-
-
 @st.composite
 def root_cases(draw):
     """A random scenario's decision equation and a random bracket, in ``l``
@@ -644,7 +673,7 @@ def root_cases(draw):
     s = make_random_scenario(rng, regime=draw(st.sampled_from(["lt1", "a", "b", "eq1", "eq1pt", None])))
     if draw(st.booleans()):
         lo, hi = sorted(draw(st.floats(-800.0, 800.0)) for _ in range(2))
-        return log_form(s), lo, hi
+        return _decision_equation(s)[0], lo, hi
     lo, hi = sorted(s.l_n * 10.0 ** draw(st.floats(-300.0, 300.0)) for _ in range(2))
     return gradient_of(s), lo, hi
 
