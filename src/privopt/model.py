@@ -19,6 +19,8 @@ or numpy arrays where a loss or price argument is marked array-compatible.
 Scalars are evaluated with ``math``; numpy is imported only when an array
 arrives.  Power-law terms are evaluated in log domain, with the zero base
 handled separately, so extreme exponents neither underflow nor overflow.
+The surplus kernel ``_gain`` takes one log of ``l/l_n`` for both of its
+powers and works an array in place, in two buffers of its own.
 """
 
 from __future__ import annotations
@@ -87,15 +89,22 @@ def _float_or_array(x):
     return arr if arr.ndim else float(arr)
 
 
-def _any(flags) -> bool:
-    """A comparison of a float, or any element of a comparison of an array."""
-    return flags if isinstance(flags, bool) else bool(flags.any())
+def _bounds(x) -> tuple:
+    """``(min, max)`` of a float or an array; NaN when ``x`` holds a NaN.
+
+    An empty array gives ``(inf, -inf)``, so it passes every range check.
+    """
+    if isinstance(x, float):
+        return x, x
+    return x.min(initial=math.inf), x.max(initial=-math.inf)
 
 
 def _in_loss_range(s: Scenario, l):
-    """``l`` through ``_float_or_array``, checked against ``[0, l_n]``."""
+    """``l`` through ``_float_or_array``, checked against ``[0, l_n]``;
+    a NaN fails the check."""
     l = _float_or_array(l)
-    if _any(l < 0) or _any(l > s.l_n):
+    lo, hi = _bounds(l)
+    if not (0.0 <= lo and hi <= s.l_n):
         raise DomainError(f"loss must lie in [0, {s.l_n}]")
     return l
 
@@ -194,10 +203,10 @@ def demand_quantity(s: Scenario, alpha: float, p):
     ``q = q_star * (1 + alpha) * (1 - p/p_star)``, clamped at 0 for
     ``p >= p_star``.  Array-compatible in ``p``.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise DomainError("alpha must be >= 0")
     p = _float_or_array(p)
-    if _any(p < 0):
+    if not _bounds(p)[0] >= 0:
         raise DomainError("price must be >= 0")
     margin = 1.0 - p / s.p_star
     margin = max(margin, 0.0) if isinstance(margin, float) else margin.clip(0.0)
@@ -289,11 +298,37 @@ def _gain(s: Scenario, l):
     Exactly 0 at ``l == 0``.  Losses are ranked by their gain, because
     two surpluses can round to the same float, ``C`` swamping the
     difference.  Array-compatible in ``l``.
+
+    One log, ``lr = log(l/l_n)``, serves both powers: they are
+    ``exp(nu lr)`` and ``exp(theta lr)``, the floats ``_powl`` gives, and
+    a zero ratio is ``lr = -inf``.  An array is worked in place in two
+    buffers, the ratio's and one more, never in the caller's; each step
+    rounds as in the expression above, so every value is the same float.
     """
     l = _in_loss_range(s, l)
-    ratio = l / s.l_n
-    benefit = _surplus_scale(s) * (s.alpha_n * _powl(ratio, s.nu))
-    return benefit - (s.pi_s + s.pi_c_star * (1.0 - s.pi_s) * _powl(ratio, s.theta)) * l
+    c = _surplus_scale(s)
+    k = s.pi_c_star * (1.0 - s.pi_s)
+    if isinstance(l, float):
+        ratio = l / s.l_n
+        lr = math.log(ratio) if ratio else -math.inf
+        benefit = c * (s.alpha_n * math.exp(s.nu * lr))
+        return benefit - (s.pi_s + k * math.exp(s.theta * lr)) * l
+    import numpy as np
+
+    lr = l / s.l_n
+    with np.errstate(divide="ignore"):
+        np.log(lr, out=lr)
+    loss = np.multiply(lr, s.theta)
+    np.exp(loss, out=loss)
+    loss *= k
+    loss += s.pi_s
+    loss *= l
+    lr *= s.nu
+    gain = np.exp(lr, out=lr)
+    gain *= s.alpha_n
+    gain *= c
+    gain -= loss
+    return gain
 
 
 def net_surplus(s: Scenario, l):
@@ -307,9 +342,13 @@ def net_surplus(s: Scenario, l):
 
     where ``margin = max(0, 1 - price/p_star)``, evaluated as
     ``_surplus_scale + _gain``; DomainError where ``(p*q*/2) margin^2``
-    overflows.  Array-compatible in ``l``.
+    overflows.  Array-compatible in ``l``; an array's ``C`` is added in
+    the gain's own buffer.
     """
-    return _surplus_scale(s) + _gain(s, l)
+    c = _surplus_scale(s)
+    gain = _gain(s, l)
+    gain += c
+    return gain
 
 
 def _coefficients(s: Scenario) -> tuple:
@@ -389,7 +428,7 @@ def surplus_gradient(s: Scenario, l):
     unconstrained surplus used when bracketing roots.  Array-compatible.
     """
     l = _float_or_array(l)
-    if _any(l <= 0):
+    if not _bounds(l)[0] > 0:
         raise DomainError("loss must be > 0 (gradient may diverge at 0)")
     return _gradient(s, *_coefficients(s), l)
 

@@ -65,9 +65,10 @@ _T_MAX = math.log(sys.float_info.max)
 #: not its memory.
 MAX_ORACLE_POINTS = 10**7
 
-#: Grid points the oracle evaluates per net_surplus call.  Each of the
-#: kernel's temporaries is then 256 KiB and stays in cache; 2**14 and 2**15
-#: were the fastest of 2**12 to 2**17 on a 1e6-point grid.
+#: Grid points the oracle evaluates per net_surplus call.  A block then
+#: lives in three float64 arrays of 256 KiB, the grid and the kernel's two
+#: buffers, which stay in cache.  2**14 and 2**15 were the fastest of 2**12
+#: to 2**17 on a 1e6-point grid, and neither won across repeats.
 ORACLE_BLOCK = 1 << 15
 
 

@@ -16,6 +16,7 @@ from privopt import (
     DomainError,
     Scenario,
     ValidationError,
+    customer_breach_probability,
     demand_quantity,
     marginal_demand_factor,
     net_surplus,
@@ -272,6 +273,89 @@ class TestNetSurplus:
         values = net_surplus(table2, grid)
         for l, v in zip(grid, values):
             assert agree(float(v), net_surplus(table2, float(l)), surplus_scale(table2, l)), l
+
+
+#: Loss fractions of ``l_n``: zero, the smallest subnormal, a tiny normal
+#: ratio, the cap, and any other.
+LOSS_FRACTIONS = st.sampled_from([0.0, 5e-324, 1e-300, 1.0]) | st.floats(0.0, 1.0)
+
+
+def two_log_gain(s, l):
+    """The surplus gain written with one log per power, ``exp(e log(l/l_n))``
+    for each of ``nu`` and ``theta``, and a new array for every step."""
+    if isinstance(l, float):
+        def power(x, e):
+            return 0.0 if x == 0.0 else math.exp(e * math.log(x))
+    else:
+        def power(x, e):
+            with np.errstate(divide="ignore"):
+                return np.exp(e * np.log(x))
+    ratio = l / s.l_n
+    c = (0.5 * s.p_star * s.margin()) * (s.q_star * s.margin())
+    benefit = c * (s.alpha_n * power(ratio, s.nu))
+    return benefit - (s.pi_s + s.pi_c_star * (1.0 - s.pi_s) * power(ratio, s.theta)) * l
+
+
+class TestKernelBits:
+    """``_gain`` takes one log for both powers and works an array in place,
+    with the floats of the two-log expression."""
+
+    @given(s=fuzz_scenarios(), fracs=st.lists(LOSS_FRACTIONS, min_size=1, max_size=16))
+    @settings(max_examples=300, deadline=None)
+    def test_same_floats_as_two_logs(self, s, fracs):
+        l = np.array(fracs) * s.l_n
+        c = (0.5 * s.p_star * s.margin()) * (s.q_star * s.margin())
+        assert np.array_equal(_gain(s, l), two_log_gain(s, l), equal_nan=True)
+        assert np.array_equal(net_surplus(s, l), c + two_log_gain(s, l), equal_nan=True)
+        for x in l.tolist():
+            assert _gain(s, x) == two_log_gain(s, x), x
+            assert net_surplus(s, x) == c + two_log_gain(s, x), x
+
+    @pytest.mark.parametrize("kernel", [_gain, net_surplus])
+    def test_caller_array_is_never_written(self, table2, kernel):
+        read_only = np.linspace(0.0, table2.l_n, 7)
+        read_only.flags.writeable = False
+        for l in (
+            read_only,
+            np.linspace(0.0, table2.l_n, 7),
+            [0.0, 1000.0, table2.l_n],
+            np.array([0, 1000, 10000]),
+            np.array(3797.0),
+        ):
+            before = np.array(l, copy=True)
+            values = kernel(table2, l)
+            assert np.array_equal(np.asarray(l), before) and np.asarray(l).dtype == before.dtype
+            assert np.array_equal(values, kernel(table2, before.astype(np.float64)))
+
+
+def demand_at_price(s, p):
+    return demand_quantity(s, 0.2, p)
+
+
+def demand_at_nan_alpha(s, p):
+    return demand_quantity(s, math.nan, np.zeros_like(p))
+
+
+class TestNaNInput:
+    """A NaN loss, price or alpha is a DomainError, never a NaN result."""
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            net_surplus,
+            _gain,
+            marginal_demand_factor,
+            customer_breach_probability,
+            surplus_gradient,
+            demand_at_price,
+            demand_at_nan_alpha,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize("value", [math.nan, np.array([1.0, math.nan])], ids=["scalar", "array"])
+    def test_nan_is_a_domain_error(self, table2, function, value):
+        with pytest.raises(DomainError):
+            function(table2, value)
 
 
 class TestSurplusGradient:
