@@ -20,7 +20,8 @@ Scalars are evaluated with ``math``; numpy is imported only when an array
 arrives.  Power-law terms are evaluated in log domain, with the zero base
 handled separately, so extreme exponents neither underflow nor overflow.
 The surplus kernel ``_gain`` takes one log of ``l/l_n`` for both of its
-powers and works an array in place, in two buffers of its own.
+powers and works an array in place, in two buffers: its own, or a pair
+the caller passes as ``out`` to reuse across calls.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, UsageError, ValidationError
 
 __all__ = [
     "Scenario",
@@ -290,7 +291,7 @@ def _surplus_scale(s: Scenario) -> float:
     return c
 
 
-def _gain(s: Scenario, l):
+def _gain(s: Scenario, l, *, out=None):
     """Net surplus at ``l`` minus its value at ``l = 0``::
 
         C alpha_n (l/l_n)^nu - [pi_s + pi_c* (1 - pi_s) (l/l_n)^theta] l
@@ -302,8 +303,12 @@ def _gain(s: Scenario, l):
     One log, ``lr = log(l/l_n)``, serves both powers: they are
     ``exp(nu lr)`` and ``exp(theta lr)``, the floats ``_powl`` gives, and
     a zero ratio is ``lr = -inf``.  An array is worked in place in two
-    buffers, the ratio's and one more, never in the caller's; each step
-    rounds as in the expression above, so every value is the same float.
+    buffers, the ratio's and one more, never in the caller's ``l``; each
+    step rounds as in the expression above, so every value is the same
+    float.  The buffers are new arrays, or ``out``: a pair of writable
+    float64 arrays of ``l``'s shape that share no memory with ``l`` or
+    each other, the first of which is returned.  A float ``l`` ignores
+    ``out``.
     """
     l = _in_loss_range(s, l)
     c = _surplus_scale(s)
@@ -315,10 +320,11 @@ def _gain(s: Scenario, l):
         return benefit - (s.pi_s + k * math.exp(s.theta * lr)) * l
     import numpy as np
 
-    lr = l / s.l_n
+    lr, loss = (None, None) if out is None else _buffers(l, out)
+    lr = np.divide(l, s.l_n, out=lr)
     with np.errstate(divide="ignore"):
         np.log(lr, out=lr)
-    loss = np.multiply(lr, s.theta)
+    loss = np.multiply(lr, s.theta, out=loss)
     np.exp(loss, out=loss)
     loss *= k
     loss += s.pi_s
@@ -331,7 +337,22 @@ def _gain(s: Scenario, l):
     return gain
 
 
-def net_surplus(s: Scenario, l):
+def _buffers(l, out) -> tuple:
+    """The pair ``out`` for ``_gain``'s array ``l``; UsageError unless both
+    are float64 arrays of ``l``'s shape and no two of the three overlap,
+    because the kernel reads ``l`` and its first buffer after writing."""
+    import numpy as np
+
+    a, b = out
+    for buf in (a, b):
+        if not isinstance(buf, np.ndarray) or buf.dtype != np.float64 or buf.shape != l.shape:
+            raise UsageError(f"out must be two float64 arrays of shape {l.shape}")
+    if np.may_share_memory(a, l) or np.may_share_memory(b, l) or np.may_share_memory(a, b):
+        raise UsageError("out must share no memory with l or between its two arrays")
+    return a, b
+
+
+def net_surplus(s: Scenario, l, *, out=None):
     """Net surplus at potential loss ``l``.
 
     Consumption surplus on the expanded demand curve minus the expected
@@ -343,10 +364,12 @@ def net_surplus(s: Scenario, l):
     where ``margin = max(0, 1 - price/p_star)``, evaluated as
     ``_surplus_scale + _gain``; DomainError where ``(p*q*/2) margin^2``
     overflows.  Array-compatible in ``l``; an array's ``C`` is added in
-    the gain's own buffer.
+    the gain's own buffer.  ``out`` is ``_gain``'s pair of working
+    buffers, for a caller that evaluates many arrays of one shape; the
+    result is then ``out[0]``.
     """
     c = _surplus_scale(s)
-    gain = _gain(s, l)
+    gain = _gain(s, l, out=out)
     gain += c
     return gain
 

@@ -26,7 +26,7 @@ from enum import Enum
 from .errors import DomainError, UsageError, ValidationError
 from .model import Scenario, _cap_risk, demand_quantity, marginal_demand_factor
 from .secure import secure_feasible_loss
-from .solver import Regime, SolutionStatus, classify_regime, solve_tradeoff
+from .solver import Regime, SolutionStatus, _grid_points, classify_regime, solve_tradeoff
 
 __all__ = [
     "SensitivityKind",
@@ -209,10 +209,7 @@ def default_price_grid(s: Scenario, pmin: float = 0.0, pmax: float | None = None
     """
     if pmax is None:
         pmax = 0.99 * s.p_star
-    if points < 2:
-        raise ValidationError("points", "need at least 2 grid points")
-    if points > MAX_SWEEP_POINTS:
-        raise ValidationError("points", f"grid is capped at {MAX_SWEEP_POINTS} points")
+    points = _grid_points("points", points, MAX_SWEEP_POINTS)
     if not 0 <= pmin < pmax:
         raise ValidationError("pmin", f"need 0 <= pmin < pmax, got [{pmin}, {pmax}]")
     if pmax >= s.p_star:

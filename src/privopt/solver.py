@@ -65,10 +65,11 @@ _T_MAX = math.log(sys.float_info.max)
 #: not its memory.
 MAX_ORACLE_POINTS = 10**7
 
-#: Grid points the oracle evaluates per net_surplus call.  A block then
-#: lives in three float64 arrays of 256 KiB, the grid and the kernel's two
-#: buffers, which stay in cache.  2**14 and 2**15 were the fastest of 2**12
-#: to 2**17 on a 1e6-point grid, and neither won across repeats.
+#: Grid points the oracle evaluates per net_surplus call.  A call
+#: allocates one working set of four float64 arrays of 256 KiB, the index
+#: base, the grid and the kernel's two buffers, and every block reuses it.
+#: With that reuse, 2**15 was the fastest of 2**12 to 2**17 on a 1e6-point
+#: grid, by min and by median, in each of three repeats.
 ORACLE_BLOCK = 1 << 15
 
 
@@ -378,6 +379,23 @@ def solve_discrete(s: Scenario, losses) -> tuple:
     return index, loss, net_surplus(s, loss)
 
 
+def _grid_points(name: str, n, cap: int) -> int:
+    """Grid size ``n`` as an int; ValidationError naming ``name`` unless
+    it is a whole number in ``[2, cap]``.  Integral floats such as ``1e6``
+    and numpy integers pass."""
+    try:
+        whole = n == int(n)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, inf
+        whole = False
+    if not whole:
+        raise ValidationError(name, f"must be a whole number, got {n!r}")
+    if n < 2:
+        raise ValidationError(name, "grid needs at least 2 points")
+    if n > cap:
+        raise ValidationError(name, f"grid is capped at {cap} points")
+    return int(n)
+
+
 def oracle_grid_argmax(s: Scenario, n: int) -> float:
     """Brute-force argmax of the net surplus on a uniform n-point grid.
 
@@ -387,27 +405,33 @@ def oracle_grid_argmax(s: Scenario, n: int) -> float:
     blocks of ``ORACLE_BLOCK`` points, so memory is O(block), not O(n);
     each block holds the same floats as that slice of
     ``numpy.linspace(0, l_n, n)`` clipped to ``l_n``, and the result is
-    the same float as the full grid's argmax.
+    the same float as the full grid's argmax.  One working set, an index
+    base plus the block's grid and the kernel's two buffers, is allocated
+    per call and reused by every block.
     """
-    if n < 2:
-        raise ValidationError("n", "grid needs at least 2 points")
-    if n > MAX_ORACLE_POINTS:
-        raise ValidationError("n", f"grid is capped at {MAX_ORACLE_POINTS} points")
+    n = _grid_points("n", n, MAX_ORACLE_POINTS)
     import numpy as np
 
-    n = int(n)
     div = n - 1
     step = s.l_n / div
+    size = min(n, ORACLE_BLOCK)
+    base = np.arange(size, dtype=np.float64)
+    work = np.empty((3, size))
     points, values = [], []
-    for start in range(0, n, ORACLE_BLOCK):
-        grid = np.arange(start, min(start + ORACLE_BLOCK, n), dtype=np.float64)
+    for start in range(0, n, size):
+        m = min(size, n - start)
+        grid = np.add(base[:m], start, out=work[0, :m])
         # numpy.linspace's two branches; the second keeps a subnormal l_n
-        grid = grid * step if step else grid / div * s.l_n
+        if step:
+            grid *= step
+        else:
+            grid /= div
+            grid *= s.l_n
         # a subnormal step can round up, which takes linspace's last points past l_n
         np.minimum(grid, s.l_n, out=grid)
-        if start + ORACLE_BLOCK >= n:
+        if start + m == n:
             grid[-1] = s.l_n
-        block = net_surplus(s, grid)
+        block = net_surplus(s, grid, out=work[1:, :m])
         i = int(np.argmax(block))
         points.append(grid[i])
         values.append(block[i])

@@ -15,6 +15,7 @@ from conftest import fuzz_scenarios, make_random_scenario
 from privopt import (
     DomainError,
     Scenario,
+    UsageError,
     ValidationError,
     customer_breach_probability,
     demand_quantity,
@@ -310,6 +311,14 @@ class TestKernelBits:
         for x in l.tolist():
             assert _gain(s, x) == two_log_gain(s, x), x
             assert net_surplus(s, x) == c + two_log_gain(s, x), x
+        # caller's buffers, holding NaN and then the previous call's values
+        before = l.copy()
+        a, b = np.full((2, l.size), np.nan)
+        assert _gain(s, l, out=(a, b)) is a
+        assert np.array_equal(a, two_log_gain(s, l), equal_nan=True)
+        assert net_surplus(s, l, out=(a, b)) is a
+        assert np.array_equal(a, c + two_log_gain(s, l), equal_nan=True)
+        assert np.array_equal(l, before)
 
     @pytest.mark.parametrize("kernel", [_gain, net_surplus])
     def test_caller_array_is_never_written(self, table2, kernel):
@@ -326,6 +335,29 @@ class TestKernelBits:
             values = kernel(table2, l)
             assert np.array_equal(np.asarray(l), before) and np.asarray(l).dtype == before.dtype
             assert np.array_equal(values, kernel(table2, before.astype(np.float64)))
+
+    @pytest.mark.parametrize("kernel", [_gain, net_surplus])
+    @pytest.mark.parametrize(
+        "pick",
+        [
+            lambda l, work: (l, work[1]),
+            lambda l, work: (work[1], l),
+            lambda l, work: (work[1], l[::-1]),
+            lambda l, work: (work[1], work[1]),
+            lambda l, work: (work[1], work[2, :4]),
+            lambda l, work: (work[1], work[2].astype(np.float32)),
+        ],
+        ids=["l-first", "l-second", "view-of-l", "same-twice", "short", "float32"],
+    )
+    def test_bad_out_is_a_usage_error(self, table2, kernel, pick):
+        # the kernel reads l and its first buffer after writing its buffers
+        work = np.zeros((3, 5))
+        l = work[0]
+        l[:] = np.linspace(0.0, table2.l_n, 5)
+        before = work.copy()
+        with pytest.raises(UsageError):
+            kernel(table2, l, out=pick(l, work))
+        assert np.array_equal(work, before)
 
 
 def demand_at_price(s, p):

@@ -320,3 +320,13 @@ class TestDefaultGrid:
             default_price_grid(table2, pmin=0.5, pmax=0.4)
         with pytest.raises(ValidationError):
             default_price_grid(table2, pmax=1.0)
+
+    @pytest.mark.parametrize("points", [2.5, math.nan, math.inf, "201"])
+    def test_points_must_be_whole(self, table2, points):
+        with pytest.raises(ValidationError) as exc:
+            default_price_grid(table2, points=points)
+        assert exc.value.field == "points"
+
+    @pytest.mark.parametrize("points", [201.0, np.int64(201)])
+    def test_integral_points_pass(self, table2, points):
+        assert default_price_grid(table2, points=points) == default_price_grid(table2)

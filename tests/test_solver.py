@@ -476,6 +476,16 @@ class TestOracleGridArgmax:
             oracle_grid_argmax(table2, MAX_ORACLE_POINTS + 1)
         assert exc.value.field == "n"
 
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, "1000"])
+    def test_grid_size_must_be_whole(self, table2, n):
+        with pytest.raises(ValidationError) as exc:
+            oracle_grid_argmax(table2, n)
+        assert exc.value.field == "n"
+
+    @pytest.mark.parametrize("n", [1e5, np.int64(10**5)])
+    def test_integral_grid_sizes_pass(self, table2, n):
+        assert oracle_grid_argmax(table2, n) == oracle_grid_argmax(table2, 10**5)
+
     def test_quick_random_equivalence(self):
         # shortened version of the acceptance sweep: 30 scenarios, 200k grid
         rng = np.random.default_rng(2024)
@@ -498,6 +508,18 @@ class TestOracleGridArgmax:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_one_working_set_per_call(self, table2, monkeypatch):
+        # every block's grid and kernel buffers sit at the same addresses
+        seen = []
+
+        def recording(s, grid, *, out):
+            seen.append((grid.ctypes.data, *(buf.ctypes.data for buf in out)))
+            return net_surplus(s, grid, out=out)
+
+        monkeypatch.setattr(privopt.solver, "net_surplus", recording)
+        oracle_grid_argmax(table2, 10**6)
+        assert len(seen) == 31 and len(set(seen)) == 1
 
     @given(
         s=fuzz_scenarios(),
