@@ -166,6 +166,19 @@ class Scenario:
         return max(0.0, 1.0 - self.price / self.p_star)
 
 
+def _repriced(s: Scenario, price: float) -> Scenario:
+    """``dataclasses.replace(s, price=price)`` for a caller-checked float
+    ``0 <= price < inf``.
+
+    The copy takes ``s``'s already-validated fields as they are and skips
+    ``__post_init__``; it is equal to, hashes like and prints like the
+    ``replace`` result, for a fraction of its cost.
+    """
+    s2 = object.__new__(type(s))
+    vars(s2).update(vars(s), price=price)
+    return s2
+
+
 @dataclass(frozen=True)
 class ConsumptionRegion:
     """Quantity band where a data release benefits both parties.

@@ -14,7 +14,10 @@ on fixed scales, so they get a quasi-elasticity instead,
 measured at an absolute new value.  A tornado table ranks factors by the
 larger magnitude of their two one-sided measurements.  Sweeps re-solve
 the scenario on a price grid; each grid point is an independent pure
-solve, so evaluation order never changes the output.
+solve, so evaluation order never changes the output.  A sweep checks its
+whole grid once, then re-prices the scenario for each point by copying
+its validated fields (no per-point validation) and solves each copy
+once; the OLR sweep reuses those copies for its secure-provider column.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import DomainError, UsageError, ValidationError
-from .model import Scenario, _cap_risk, demand_quantity, marginal_demand_factor
+from .model import Scenario, _cap_risk, _repriced, demand_quantity, marginal_demand_factor
 from .secure import secure_feasible_loss
 from .solver import Regime, SolutionStatus, _grid_points, classify_regime, solve_tradeoff
 
@@ -220,37 +223,32 @@ def default_price_grid(s: Scenario, pmin: float = 0.0, pmax: float | None = None
     return tuple(pmin + (i * step if step else i / div * delta) for i in range(div)) + (pmax,)
 
 
-def _check_grid(s: Scenario, grid) -> tuple:
-    """The grid as floats inside ``[0, p_star)``; ``SweepSeries`` checks
-    that it increases strictly."""
-    grid = tuple(float(p) for p in grid)
-    if grid and (min(grid) < 0 or max(grid) >= s.p_star):
-        raise ValidationError("grid", f"prices must lie in [0, {s.p_star})")
-    return grid
-
-
 def _revenue_at(s2: Scenario, l_opt: float) -> float:
     alpha = marginal_demand_factor(s2, l_opt)
     return s2.price * demand_quantity(s2, alpha, s2.price)
 
 
-def price_sweep(s: Scenario, grid) -> SweepSeries:
-    """Optimal loss and provider revenue across a price grid.
+def _solve_grid(s: Scenario, grid, sat: float | None = None) -> tuple:
+    """The price series of ``s`` on ``grid`` and each point's scenario.
 
-    For ``nu < 1`` the loss series is non-increasing in the price: a flat
-    stretch at the cap below the saturation price, strictly falling above
-    it.
+    The grid is checked once, before any solve: every price becomes a
+    float with ``0 <= p < p_star``, a comparison that NaN fails too.
+    Each point's scenario is ``s`` re-priced by ``model._repriced`` and
+    costs one ``solve_tradeoff`` call; ``SweepSeries`` checks that the
+    grid increases strictly.
     """
-    grid = _check_grid(s, grid)
+    grid = tuple(float(p) for p in grid)
+    p_star = s.p_star
+    if not all(0.0 <= p < p_star for p in grid):
+        raise ValidationError("grid", f"prices must lie in [0, {p_star})")
+    scenarios = tuple(_repriced(s, p) for p in grid)
     l_opt, revenue, statuses = [], [], []
-    for p in grid:
-        s2 = replace(s, price=p)
+    for s2 in scenarios:
         sol = solve_tradeoff(s2)
         l_opt.append(sol.l_opt)
         statuses.append(sol.status)
         revenue.append(_revenue_at(s2, sol.l_opt))
-    sat = saturation_price(s) if classify_regime(s) is Regime.NU_LT_1 else None
-    return SweepSeries(
+    series = SweepSeries(
         factor="price",
         grid=grid,
         l_opt=tuple(l_opt),
@@ -258,11 +256,26 @@ def price_sweep(s: Scenario, grid) -> SweepSeries:
         statuses=tuple(statuses),
         saturation_price=sat,
     )
+    return series, scenarios
+
+
+def price_sweep(s: Scenario, grid) -> SweepSeries:
+    """Optimal loss and provider revenue across a price grid.
+
+    The grid is checked once, as a whole; each point re-solves a copy of
+    ``s`` at that price.  For ``nu < 1`` the loss series is
+    non-increasing in the price: a flat stretch at the cap below the
+    saturation price, strictly falling above it.
+    """
+    sat = saturation_price(s) if classify_regime(s) is Regime.NU_LT_1 else None
+    return _solve_grid(s, grid, sat)[0]
 
 
 def revenue_sweep(s: Scenario, grid) -> tuple:
     """Price sweep plus the grid price maximising provider revenue."""
     series = price_sweep(s, grid)
+    if not series.grid:
+        raise ValidationError("grid", "needs at least one price")
     argmax_price = series.grid[series.revenue.index(max(series.revenue))]
     return series, argmax_price
 
@@ -271,17 +284,19 @@ def olr_sweep(s: Scenario, grid) -> SweepSeries:
     """Optimal Loss Ratio across a price grid.
 
     Requires a vulnerable provider (``pi_s > 0``), otherwise the ratio is
-    identically 1.  The reported saturation price is the kink where the
+    identically 1.  The grid is checked and solved as in ``price_sweep``,
+    and each point's re-priced scenario also gives the secure-side
+    optimum.  The reported saturation price is the kink where the
     secure-side optimum leaves the cap; below both saturation points the
     ratio is exactly 1.  Grid points whose vulnerable optimum is 0 yield
     NaN.
     """
     if s.pi_s <= 0.0:
         raise UsageError("OLR sweep needs pi_s > 0; the ratio is identically 1 otherwise")
-    series = price_sweep(s, grid)
+    series, scenarios = _solve_grid(s, grid)
     olr = tuple(
-        secure_feasible_loss(replace(s, price=p)) / l if l > 0 else math.nan
-        for p, l in zip(series.grid, series.l_opt)
+        secure_feasible_loss(s2) / l if l > 0 else math.nan
+        for s2, l in zip(scenarios, series.l_opt)
     )
     kink = None
     if classify_regime(s) is Regime.NU_LT_1:

@@ -28,7 +28,7 @@ from privopt import (
     surplus_gradient,
     valid_demand_region,
 )
-from privopt.model import _gain, _powl
+from privopt.model import _gain, _powl, _repriced
 
 
 class TestScenarioValidation:
@@ -73,6 +73,23 @@ class TestScenarioValidation:
         assert s.margin() == 0.0
         s = dataclasses.replace(table2, price=2.5)
         assert s.margin() == 0.0
+
+
+class TestRepriced:
+    @given(s=fuzz_scenarios(), ratio=st.floats(0.0, 2.0))
+    @example(s=Scenario(250, 1, 0.5, 0.138647, 0.138647, 0.2, 1e4, 1e-4, 1e-4), ratio=-0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_replace(self, s, ratio):
+        p = s.p_star * ratio
+        before = repr(s)
+        want = dataclasses.replace(s, price=p)
+        got = _repriced(s, p)
+        assert type(got) is Scenario
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert math.copysign(1.0, got.price) == math.copysign(1.0, want.price)
+        assert repr(s) == before
 
 
 class TestMarginalDemandFactor:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SUBNORMAL_OPTIMUM
+import privopt.sensitivity
+from conftest import SUBNORMAL_OPTIMUM, fuzz_scenarios
 from privopt import (
     DomainError,
     Scenario,
@@ -25,6 +26,7 @@ from privopt import (
     price_sweep,
     revenue_sweep,
     saturation_price,
+    secure_feasible_loss,
     solve_tradeoff,
     tornado,
 )
@@ -212,6 +214,33 @@ class TestPriceSweep:
         with pytest.raises(ValidationError):
             price_sweep(table2, (0.5, 1.0))
 
+    @pytest.mark.parametrize("sweep", [price_sweep, olr_sweep])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            (math.nan, 0.2, 0.3),
+            (0.1, math.nan, 0.3),
+            (0.1, 0.2, math.nan),
+            (0.1, math.inf),
+            (-1.0, 0.1),
+        ],
+    )
+    def test_bad_price_is_a_grid_error(self, table2, sweep, grid):
+        with pytest.raises(ValidationError) as exc:
+            sweep(table2, grid)
+        assert exc.value.field == "grid"
+
+    @pytest.mark.parametrize("sweep", [price_sweep, olr_sweep])
+    def test_negative_zero_price_is_kept(self, table2, sweep):
+        series = sweep(table2, (-0.0, 0.5))
+        assert math.copysign(1.0, series.grid[0]) == -1.0
+        assert series.l_opt[0] == solve_tradeoff(dataclasses.replace(table2, price=0.0)).l_opt
+
+    @pytest.mark.parametrize("sweep", [price_sweep, olr_sweep])
+    def test_empty_grid_gives_empty_series(self, table2, sweep):
+        series = sweep(table2, ())
+        assert series.grid == series.l_opt == series.revenue == series.statuses == ()
+
     def test_series_shape_validation(self):
         with pytest.raises(ValidationError):
             SweepSeries(
@@ -224,6 +253,11 @@ class TestPriceSweep:
 
 
 class TestRevenueSweep:
+    def test_empty_grid_is_a_grid_error(self, table2):
+        with pytest.raises(ValidationError, match="needs at least one price") as exc:
+            revenue_sweep(table2, ())
+        assert exc.value.field == "grid"
+
     def test_reference_argmax(self, table1):
         series, best_price = revenue_sweep(table1, default_price_grid(table1))
         assert 0.42 <= best_price <= 0.52
@@ -256,6 +290,107 @@ class TestOlrSweep:
     def test_requires_vulnerable_provider(self, table2):
         with pytest.raises(UsageError):
             olr_sweep(dataclasses.replace(table2, pi_s=0.0), (0.1, 0.5))
+
+
+def reference_price_sweep(s, grid):
+    """The sweep loop written out: one ``replace`` and one solve per point."""
+    grid = tuple(float(p) for p in grid)
+    if grid and (min(grid) < 0 or max(grid) >= s.p_star):
+        raise ValidationError("grid", f"prices must lie in [0, {s.p_star})")
+    l_opt, revenue, statuses = [], [], []
+    for p in grid:
+        s2 = dataclasses.replace(s, price=p)
+        sol = solve_tradeoff(s2)
+        l_opt.append(sol.l_opt)
+        statuses.append(sol.status)
+        alpha = privopt.marginal_demand_factor(s2, sol.l_opt)
+        revenue.append(p * privopt.demand_quantity(s2, alpha, p))
+    sat = saturation_price(s) if privopt.classify_regime(s) is privopt.Regime.NU_LT_1 else None
+    return SweepSeries("price", grid, tuple(l_opt), tuple(revenue), tuple(statuses), saturation_price=sat)
+
+
+def reference_olr_sweep(s, grid):
+    if s.pi_s <= 0.0:
+        raise UsageError("OLR sweep needs pi_s > 0; the ratio is identically 1 otherwise")
+    series = reference_price_sweep(s, grid)
+    olr = tuple(
+        secure_feasible_loss(dataclasses.replace(s, price=p)) / l if l > 0 else math.nan
+        for p, l in zip(series.grid, series.l_opt)
+    )
+    kink = None
+    if privopt.classify_regime(s) is privopt.Regime.NU_LT_1:
+        kink = saturation_price(dataclasses.replace(s, pi_s=0.0))
+    return dataclasses.replace(series, olr=olr, saturation_price=kink)
+
+
+def outcome(f, *args):
+    """``repr`` of the result, or the exception's type and text."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def paper_scenarios(draw):
+    """Scenarios near the bundled table1/table2 cases, each factor scaled
+    log-uniformly by up to 2x (10x for the two probabilities)."""
+    def scale(k):
+        return 10.0 ** draw(st.floats(-math.log10(k), math.log10(k)))
+
+    p_star = scale(2.0)
+    return Scenario(
+        q_star=250.0 * scale(2.0),
+        p_star=p_star,
+        price=p_star * draw(st.floats(0.05, 0.8)),
+        nu=0.138647 * scale(2.0),
+        theta=0.138647 * scale(2.0),
+        alpha_n=0.2 * scale(2.0),
+        l_n=1e4 * scale(2.0),
+        pi_s=1e-4 * scale(10.0),
+        pi_c_star=1e-4 * scale(10.0),
+    )
+
+
+class TestSweepMatchesReferenceLoop:
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    def test_bundled_scenarios(self, name, request):
+        s = request.getfixturevalue(name)
+        grid = default_price_grid(s)
+        assert repr(price_sweep(s, grid)) == repr(reference_price_sweep(s, grid))
+        assert repr(olr_sweep(s, grid)) == repr(reference_olr_sweep(s, grid))
+
+    @given(s=paper_scenarios() | fuzz_scenarios(), points=st.integers(2, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_random_scenarios(self, s, points):
+        grid = default_price_grid(s, points=points)
+        assert outcome(price_sweep, s, grid) == outcome(reference_price_sweep, s, grid)
+        assert outcome(olr_sweep, s, grid) == outcome(reference_olr_sweep, s, grid)
+
+    def test_one_solve_and_no_validation_per_point(self, table2, monkeypatch):
+        calls = {"solve": 0, "secure": 0, "post_init": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(privopt.sensitivity, "solve_tradeoff", counted("solve", solve_tradeoff))
+        monkeypatch.setattr(
+            privopt.sensitivity, "secure_feasible_loss", counted("secure", secure_feasible_loss)
+        )
+        monkeypatch.setattr(Scenario, "__post_init__", counted("post_init", Scenario.__post_init__))
+        grid = default_price_grid(table2, points=21)
+
+        series = price_sweep(table2, grid)
+        assert calls == {"solve": 21, "secure": 0, "post_init": 0}
+        assert all(l > 0 for l in series.l_opt)
+
+        calls.update(dict.fromkeys(calls, 0))
+        olr_sweep(table2, grid)
+        # one validated scenario per sweep: the secure-side kink's pi_s = 0 copy
+        assert calls == {"solve": 21, "secure": 21, "post_init": 1}
 
 
 class TestSaturationPrice:
