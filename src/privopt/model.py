@@ -17,16 +17,19 @@ the potential loss through a second power law, ``pi_c* (l / l_n)**theta``.
 All operations are pure functions of immutable values and accept scalars
 or numpy arrays where a loss or price argument is marked array-compatible.
 Scalars are evaluated with ``math``; numpy is imported only when an array
-arrives.  Power-law terms are evaluated in log domain, with the zero base
-handled separately, so extreme exponents neither underflow nor overflow.
-The surplus kernel ``_gain`` takes one log of ``l/l_n`` for both of its
-powers and works an array in place, in two buffers: its own, or a pair
-the caller passes as ``out`` to reuse across calls.
+arrives.  Each power is one ``exp`` of a sum of logs, so extreme
+exponents and parameters neither underflow nor overflow before the power
+itself does; the decision coefficients ``a`` and ``b`` exist only as
+logs (``_log_coefficients``).  The surplus kernel ``_gain`` takes one log
+of ``l/l_n`` for both of its powers and works an array in place, in two
+buffers: its own, or a pair the caller passes as ``out`` to reuse across
+calls.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, UsageError, ValidationError
@@ -49,32 +52,13 @@ __all__ = [
 #: Tolerance used before taking the square root of the region discriminant.
 DISCRIMINANT_TOL = 1e-12
 
+#: Largest ``t`` whose ``exp`` is finite.
+_T_MAX = math.log(sys.float_info.max)
 
-def _powl(x, e: float):
-    """Power ``x**e`` in log domain for a nonnegative float or array ``x``.
 
-    ``x == 0`` maps to the continuity limits: 0 for ``e > 0``, ``inf`` for
-    ``e < 0`` and 1 for ``e == 0``, and ``e == 0`` gives 1 for every
-    ``x``.  Both branches evaluate ``exp(e * log(x))``, a float through
-    ``math`` and an array through numpy; the two ``exp`` implementations
-    may differ in the last bit.  An overflowing ``exp`` returns ``inf``
-    and a NaN base NaN, without an exception or a warning.
-    """
-    if isinstance(x, float):
-        if x == 0.0 or e == 0.0:
-            return 0.0 if e > 0 else math.inf if e < 0 else 1.0
-        try:
-            return math.exp(e * math.log(x))
-        except OverflowError:
-            return math.inf
-        except ValueError:  # negative base
-            return math.nan
-    import numpy as np
-
-    if e == 0.0:
-        return np.ones_like(x, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.exp(e * np.log(x))
+def _exp(t: float) -> float:
+    """``exp(t)``, ``inf`` past the float range instead of OverflowError."""
+    return math.exp(t) if t <= _T_MAX else math.inf
 
 
 def _float_or_array(x):
@@ -108,6 +92,19 @@ def _in_loss_range(s: Scenario, l):
     if not (0.0 <= lo and hi <= s.l_n):
         raise DomainError(f"loss must lie in [0, {s.l_n}]")
     return l
+
+
+def _ratio_power(s: Scenario, l, e: float):
+    """``(l/l_n)**e`` for ``e > 0`` as ``exp(e log(l/l_n))``, the float
+    ``_gain`` gives, 0 at ``l == 0``; ``l`` is range-checked and may be an
+    array."""
+    ratio = _in_loss_range(s, l) / s.l_n
+    if isinstance(ratio, float):
+        return math.exp(e * math.log(ratio)) if ratio else 0.0
+    import numpy as np
+
+    with np.errstate(divide="ignore"):
+        return np.exp(e * np.log(ratio))
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,7 @@ class Scenario:
             if not ok:
                 raise ValidationError(field, f"{msg} (got {value!r})")
             if type(value) is not float:
-                # an int would send every power down _powl's array branch
+                # stored as its float, so an int field prints like one in reprs and reports
                 object.__setattr__(self, field, float(value))
 
     def margin(self) -> float:
@@ -166,16 +163,16 @@ class Scenario:
         return max(0.0, 1.0 - self.price / self.p_star)
 
 
-def _repriced(s: Scenario, price: float) -> Scenario:
-    """``dataclasses.replace(s, price=price)`` for a caller-checked float
-    ``0 <= price < inf``.
+def _repriced(s: Scenario, **changes: float) -> Scenario:
+    """``dataclasses.replace(s, **changes)`` for caller-checked float
+    fields, such as a price ``0 <= price < inf`` or ``pi_s=0.0``.
 
-    The copy takes ``s``'s already-validated fields as they are and skips
-    ``__post_init__``; it is equal to, hashes like and prints like the
-    ``replace`` result, for a fraction of its cost.
+    The copy takes ``s``'s other, already-validated fields as they are and
+    skips ``__post_init__``; it is equal to, hashes like and prints like
+    the ``replace`` result, for a fraction of its cost.
     """
     s2 = object.__new__(type(s))
-    vars(s2).update(vars(s), price=price)
+    vars(s2).update(vars(s), **changes)
     return s2
 
 
@@ -208,7 +205,7 @@ def marginal_demand_factor(s: Scenario, l):
 
     Defined as 0 at ``l == 0`` by continuity.  Array-compatible in ``l``.
     """
-    return s.alpha_n * _powl(_in_loss_range(s, l) / s.l_n, s.nu)
+    return s.alpha_n * _ratio_power(s, l, s.nu)
 
 
 def demand_quantity(s: Scenario, alpha: float, p):
@@ -314,11 +311,11 @@ def _gain(s: Scenario, l, *, out=None):
     difference.  Array-compatible in ``l``.
 
     One log, ``lr = log(l/l_n)``, serves both powers: they are
-    ``exp(nu lr)`` and ``exp(theta lr)``, the floats ``_powl`` gives, and
-    a zero ratio is ``lr = -inf``.  An array is worked in place in two
-    buffers, the ratio's and one more, never in the caller's ``l``; each
-    step rounds as in the expression above, so every value is the same
-    float.  The buffers are new arrays, or ``out``: a pair of writable
+    ``exp(nu lr)`` and ``exp(theta lr)``, the floats ``_ratio_power``
+    gives, and a zero ratio is ``lr = -inf``.  An array is worked in place
+    in two buffers, the ratio's and one more, never in the caller's ``l``;
+    each step rounds as in the expression above, so every value is the
+    same float.  The buffers are new arrays, or ``out``: a pair of writable
     float64 arrays of ``l``'s shape that share no memory with ``l`` or
     each other, the first of which is returned.  A float ``l`` ignores
     ``out``.
@@ -387,13 +384,6 @@ def net_surplus(s: Scenario, l, *, out=None):
     return gain
 
 
-def _coefficients(s: Scenario) -> tuple:
-    """Raw ``(a, b)`` of the decision gradient; a is 0 when the price kills the demand."""
-    a = 0.5 * s.q_star * s.p_star * s.nu * s.alpha_n * _powl(s.l_n, -s.nu) * s.margin() ** 2
-    b = (1.0 - s.pi_s) * s.pi_c_star * (s.theta + 1.0) * _powl(s.l_n, -s.theta)
-    return a, b
-
-
 def _log_product(*factors) -> float:
     """``log`` of a product of positive floats, summed term by term only
     when the product itself under- or overflows."""
@@ -445,11 +435,6 @@ def _decision_equation(s: Scenario) -> tuple:
     return (lambda t: la + nu1 * t - _logaddexp(lp, lb + theta * t)), la, lb, lp, lr
 
 
-def _gradient(s: Scenario, a: float, b: float, l):
-    """Decision gradient ``a*l**(nu-1) - pi_s - b*l**theta``; array-compatible in ``l``."""
-    return a * _powl(l, s.nu - 1.0) - s.pi_s - b * _powl(l, s.theta)
-
-
 def surplus_gradient(s: Scenario, l):
     """Analytic derivative of the net surplus with respect to the loss.
 
@@ -458,15 +443,31 @@ def surplus_gradient(s: Scenario, l):
         (q* p* nu / 2)(alpha_n / l_n) margin^2 (l/l_n)^(nu-1)
             - pi_s - pi_c* (1 - pi_s)(theta + 1)(l/l_n)^theta
 
-    evaluated as the decision gradient ``a*l**(nu-1) - pi_s - b*l**theta``.
-    Diverges to +inf as ``l -> 0+`` when ``nu < 1``, hence the strictly
-    positive domain.  Values above ``l_n`` are allowed; they describe the
-    unconstrained surplus used when bracketing roots.  Array-compatible.
+    evaluated as the decision gradient ``a*l**(nu-1) - pi_s - b*l**theta``
+    with its terms ``exp(la + (nu-1) log l)`` and ``exp(lb + theta log l)``
+    built from the logs of ``_log_coefficients``: finite wherever their
+    values are, even where ``l_n**-nu`` under- or overflows, and ``inf``
+    past the float range.  At ``nu == 1`` the first term is ``a``, also at
+    ``l = inf``.  Diverges to +inf as ``l -> 0+`` when ``nu < 1``, hence
+    the strictly positive domain.  Values above ``l_n`` are allowed; they
+    describe the unconstrained surplus used when bracketing roots.
+    Array-compatible.
     """
     l = _float_or_array(l)
     if not _bounds(l)[0] > 0:
         raise DomainError("loss must be > 0 (gradient may diverge at 0)")
-    return _gradient(s, *_coefficients(s), l)
+    la, lb, _ = _log_coefficients(s)
+    nu1, theta = s.nu - 1.0, s.theta
+    if isinstance(l, float):
+        t = math.log(l)
+        benefit = _exp(la + nu1 * t) if nu1 else _exp(la)
+        return benefit - s.pi_s - _exp(lb + theta * t)
+    import numpy as np
+
+    t = np.log(l)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, as in floats
+        benefit = np.exp(la + nu1 * t) if nu1 else _exp(la)
+        return benefit - s.pi_s - np.exp(lb + theta * t)
 
 
 def _cap_risk(s: Scenario) -> float:
@@ -484,7 +485,7 @@ def customer_breach_probability(s: Scenario, l):
     Nondecreasing in ``l``; equals ``pi_c*`` at maximum release and 0 when
     nothing is disclosed.  Array-compatible in ``l``.
     """
-    return s.pi_c_star * _powl(_in_loss_range(s, l) / s.l_n, s.theta)
+    return s.pi_c_star * _ratio_power(s, l, s.theta)
 
 
 def combined_breach_probability(pi_s: float, pi_c: float) -> float:

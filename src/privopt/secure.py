@@ -17,11 +17,11 @@ exposure a customer accepts when the provider becomes breach-proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ClosedFormInapplicableError, DomainError
-from .model import _log_coefficients
-from .solver import REGIME_TOL, _exp, solve_tradeoff
+from .model import _exp, _log_coefficients, _repriced
+from .solver import REGIME_TOL, solve_tradeoff
 
 __all__ = [
     "SecureElasticities",
@@ -89,7 +89,7 @@ def secure_feasible_loss(s) -> float:
     try:
         return secure_optimal_loss(s)[1]
     except ClosedFormInapplicableError:
-        return solve_tradeoff(replace(s, pi_s=0.0)).l_opt
+        return solve_tradeoff(_repriced(s, pi_s=0.0)).l_opt
 
 
 def optimal_loss_ratio(s) -> float:

@@ -241,7 +241,7 @@ def _solve_grid(s: Scenario, grid, sat: float | None = None) -> tuple:
     p_star = s.p_star
     if not all(0.0 <= p < p_star for p in grid):
         raise ValidationError("grid", f"prices must lie in [0, {p_star})")
-    scenarios = tuple(_repriced(s, p) for p in grid)
+    scenarios = tuple(_repriced(s, price=p) for p in grid)
     l_opt, revenue, statuses = [], [], []
     for s2 in scenarios:
         sol = solve_tradeoff(s2)
@@ -300,7 +300,7 @@ def olr_sweep(s: Scenario, grid) -> SweepSeries:
     )
     kink = None
     if classify_regime(s) is Regime.NU_LT_1:
-        kink = saturation_price(replace(s, pi_s=0.0))
+        kink = saturation_price(_repriced(s, pi_s=0.0))
     return replace(series, olr=olr, saturation_price=kink)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NumericError, UsageError, ValidationError
-from .model import Scenario, _cap_risk, _decision_equation, _gain, _logaddexp, net_surplus
+from .model import Scenario, _cap_risk, _decision_equation, _exp, _gain, _logaddexp, net_surplus
 
 __all__ = [
     "Regime",
@@ -57,9 +57,6 @@ MAX_ITER = 200
 #: Absolute and relative tolerances of the root search in ``t = log l``.
 XTOL = 1e-13
 RTOL = 4 * sys.float_info.epsilon
-
-#: Largest ``t`` whose ``exp`` is finite.
-_T_MAX = math.log(sys.float_info.max)
 
 #: Largest grid the oracle evaluates; it bounds the oracle's run time,
 #: not its memory.
@@ -246,11 +243,6 @@ def brentq(f, lo: float, hi: float, maxiter: int = MAX_ITER) -> float:
         if math.isnan(fcur):
             raise NumericError(f"root refinement met a NaN value at {xcur}")
     raise NumericError(f"root refinement failed to converge in {maxiter} iterations")
-
-
-def _exp(t: float) -> float:
-    """``exp(t)``, ``inf`` past the float range instead of OverflowError."""
-    return math.exp(t) if t <= _T_MAX else math.inf
 
 
 def _representable(l: float) -> bool:

@@ -330,6 +330,18 @@ class TestImport:
         )
         assert run_python(code) == "['float'] INTERIOR 3796.9 False"
 
+    def test_scalar_model_calls_load_no_numpy(self):
+        code = (
+            "import sys, privopt\n"
+            "s = privopt.Scenario(250.0, 1.0, 0.5, 0.138647, 0.138647, 0.2, 1e4, 1e-4, 1e-4)\n"
+            "values = [privopt.demand_quantity(s, 0.2, 0.5), privopt.surplus_gradient(s, 3797.0)]\n"
+            "for l in (0.0, 3797.0):\n"
+            "    values += [f(s, l) for f in (privopt.net_surplus, privopt.marginal_demand_factor,\n"
+            "                                 privopt.customer_breach_probability)]\n"
+            "print(sorted({type(v).__name__ for v in values}), 'numpy' in sys.modules)\n"
+        )
+        assert run_python(code) == "['float'] False"
+
     def test_export_lists_agree(self):
         # the package exports its version, its errors and each module's
         # public names, all of which resolve, none twice

@@ -4,14 +4,15 @@ import dataclasses
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import _oracle
 from _gradcheck import relative_gradient_error
-from conftest import fuzz_scenarios, make_random_scenario
+from conftest import _log_uniform, fuzz_scenarios, make_random_scenario
 from privopt import (
     DomainError,
     Scenario,
@@ -21,6 +22,7 @@ from privopt import (
     demand_quantity,
     marginal_demand_factor,
     net_surplus,
+    normalized_gradient,
     pareto_privacy_parameter,
     price_taker_demand,
     provider_revenue,
@@ -28,7 +30,7 @@ from privopt import (
     surplus_gradient,
     valid_demand_region,
 )
-from privopt.model import _gain, _powl, _repriced
+from privopt.model import _gain, _repriced
 
 
 class TestScenarioValidation:
@@ -80,15 +82,16 @@ class TestRepriced:
     @example(s=Scenario(250, 1, 0.5, 0.138647, 0.138647, 0.2, 1e4, 1e-4, 1e-4), ratio=-0.0)
     @settings(max_examples=200, deadline=None)
     def test_equals_replace(self, s, ratio):
-        p = s.p_star * ratio
+        # the sweeps' re-priced points and the secure side's pi_s = 0 copies
         before = repr(s)
-        want = dataclasses.replace(s, price=p)
-        got = _repriced(s, p)
-        assert type(got) is Scenario
-        assert got == want
-        assert hash(got) == hash(want)
-        assert repr(got) == repr(want)
-        assert math.copysign(1.0, got.price) == math.copysign(1.0, want.price)
+        for changes in ({"price": s.p_star * ratio}, {"pi_s": 0.0}):
+            want = dataclasses.replace(s, **changes)
+            got = _repriced(s, **changes)
+            assert type(got) is Scenario
+            assert got == want
+            assert hash(got) == hash(want)
+            assert repr(got) == repr(want)
+            assert math.copysign(1.0, got.price) == math.copysign(1.0, want.price)
         assert repr(s) == before
 
 
@@ -407,6 +410,15 @@ class TestNaNInput:
             function(table2, value)
 
 
+#: a = 1e100 while l_n**-nu = 1e-400 underflows the float range
+UNDERFLOWING_L_N_POWER = Scenario(
+    q_star=1e150, p_star=1e150, price=0.0, nu=2.0, theta=0.5,
+    alpha_n=1.0, l_n=1e200, pi_s=1e-4, pi_c_star=1e-4,
+)
+#: table2 with nu == 1 exactly, where (nu - 1) log l is 0
+NU_AT_1 = Scenario(250.0, 1.0, 0.5, 1.0, 0.138647, 0.2, 1e4, 1e-4, 1e-4)
+
+
 class TestSurplusGradient:
     def test_vanishes_at_reference_optimum(self, table2):
         root = float(_oracle.interior_root(table2, 3797))
@@ -440,6 +452,43 @@ class TestSurplusGradient:
         assert math.isfinite(value) or value == math.inf
         assert value > 0
 
+    @pytest.mark.parametrize("frac", [1e-3, 0.5, 1.0])
+    def test_sign_where_l_n_power_underflows(self, frac):
+        # l_n**-nu = 1e-400 underflows, yet the coefficient a = 1e100 does not
+        s = UNDERFLOWING_L_N_POWER
+        l = frac * s.l_n
+        want = float(_oracle.gradient(s, l))
+        assert want > 1e96
+        assert surplus_gradient(s, l) == pytest.approx(want, rel=1e-11)
+        assert surplus_gradient(s, np.array([l]))[0] == pytest.approx(want, rel=1e-11)
+
+    @given(s=fuzz_scenarios(), frac=_log_uniform(1e-300, 3.0))
+    @example(s=NU_AT_1, frac=1e-300)
+    @example(s=NU_AT_1, frac=3.0)
+    @example(s=dataclasses.replace(NU_AT_1, nu=1.0 + 1e-9), frac=1e-300)
+    @example(s=dataclasses.replace(NU_AT_1, nu=1.0 + 1e-9), frac=3.0)
+    @example(s=dataclasses.replace(NU_AT_1, nu=1.0 - 1e-9), frac=1e-300)
+    @example(s=dataclasses.replace(NU_AT_1, nu=1.0 - 1e-9), frac=3.0)
+    @example(s=UNDERFLOWING_L_N_POWER, frac=1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_sign_matches_normalized_gradient(self, s, frac):
+        # normalized_gradient is tanh(h/2), from the decision equation in
+        # log l; away from a root, where rounding can flip either, the two
+        # agree in sign
+        l = frac * s.l_n
+        ng = normalized_gradient(s, l)
+        if abs(ng) > 1e-9:
+            assert (surplus_gradient(s, l) > 0) == (ng > 0), (s, l, ng)
+
+    @pytest.mark.parametrize(
+        "nu,want", [(0.5, -math.inf), (1.0, -math.inf), (1.5, math.nan)], ids=["lt1", "eq1", "gt1"]
+    )
+    def test_value_at_infinity(self, table2, nu, want):
+        # (nu - 1) log l is 0 * inf at nu == 1: there the first term is a
+        s = dataclasses.replace(table2, nu=nu)
+        for value in (surplus_gradient(s, math.inf), surplus_gradient(s, np.array([math.inf]))[0]):
+            assert value == want or (math.isnan(value) and math.isnan(want))
+
 
 def agree(x, y, scale=None, ulps=4):
     """Equal non-finite values, or finite values within ``ulps`` units in
@@ -457,32 +506,35 @@ def surplus_scale(s, l):
     return 0.5 * s.p_star * s.q_star * (1.0 + s.alpha_n) * s.margin() ** 2 + (s.pi_s + s.pi_c_star) * l
 
 
-#: Bases at the edges of the float range, and any other nonnegative float.
-POWER_BASES = st.sampled_from(
-    [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300, 1.7976931348623157e308, math.inf, math.nan]
-) | st.floats(min_value=0.0)
-#: Exponents the model raises to: nu, theta, their differences and
-#: reciprocals over the fuzz ranges, and exactly 0 (nu == 1 gives nu - 1 == 0).
-POWER_EXPONENTS = st.just(0.0) | st.floats(-1e12, 1e12)
+def gradient_scale(s, l):
+    """Magnitude bound of the surplus gradient's three terms at loss ``l``:
+    each is rounded separately, and their difference can cancel."""
+    a, b = _oracle.coefficients(s)
+    l = mp.mpf(l)
+    return float(a * l ** (s.nu - 1.0) + s.pi_s + b * l**s.theta)
 
 
 class TestScalarAndArrayPaths:
     """The float branch runs in math, the array branch in numpy; their exp
     implementations may differ in the last bit, never by more."""
 
-    @given(x=POWER_BASES, e=POWER_EXPONENTS)
-    @example(x=1e300, e=10.0)  # overflows to inf
-    @example(x=math.inf, e=0.0)
-    @example(x=math.nan, e=0.5)
-    @example(x=0.0, e=-0.5)
+    @given(
+        s=fuzz_scenarios(),
+        frac=st.sampled_from([0.0, 5e-324, 1e-300, 1.0]),
+        function=st.sampled_from([marginal_demand_factor, customer_breach_probability, surplus_gradient]),
+    )
     @settings(max_examples=500, deadline=None)
-    def test_power_branches_agree(self, x, e):
+    def test_power_branches_agree(self, s, frac, function):
+        l = s.l_n * frac
+        if function is surplus_gradient:
+            assume(l > 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scalar = _powl(x, e)
-            array = _powl(np.array([x]), e)
+            scalar = function(s, l)
+            array = function(s, np.array([l]))
+        scale = gradient_scale(s, l) if function is surplus_gradient else None
         assert type(scalar) is float
-        assert agree(scalar, float(array[0])), (x, e, scalar, array)
+        assert agree(scalar, float(array[0]), scale), (s, l, scalar, array)
 
     @given(s=fuzz_scenarios(), frac=st.sampled_from([0.0, 5e-324, 1e-300, 1.0]) | st.floats(0.0, 1.0))
     @settings(max_examples=300, deadline=None)

@@ -389,8 +389,26 @@ class TestSweepMatchesReferenceLoop:
 
         calls.update(dict.fromkeys(calls, 0))
         olr_sweep(table2, grid)
-        # one validated scenario per sweep: the secure-side kink's pi_s = 0 copy
-        assert calls == {"solve": 21, "secure": 21, "post_init": 1}
+        # the secure-side kink's pi_s = 0 copy is not validated either
+        assert calls == {"solve": 21, "secure": 21, "post_init": 0}
+
+    def test_subcase_b_secure_fallback(self, monkeypatch):
+        # nu >= 1 + theta: the closed form does not apply, and each point's
+        # secure-side optimum is a solve of its pi_s = 0 copy
+        s = Scenario(250, 1, 0.5, 1.5, 0.2, 0.2, 1e4, 1e-4, 1e-4)
+        grid = default_price_grid(s)
+        want = reference_olr_sweep(s, grid)
+        calls = 0
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+
+        monkeypatch.setattr(Scenario, "__post_init__", counted)
+        got = olr_sweep(s, grid)
+        assert repr(got) == repr(want)
+        assert calls == 0
+        assert sum(l > 0 for l in got.l_opt) > 100
 
 
 class TestSaturationPrice:

@@ -32,7 +32,7 @@ from privopt import (
     solve_tradeoff,
     surplus_gradient,
 )
-from privopt.model import _coefficients, _decision_equation, _gradient
+from privopt.model import _decision_equation, _log_coefficients
 from privopt.solver import MAX_ORACLE_POINTS, ORACLE_BLOCK, RTOL, XTOL, brentq
 
 # nu between 1 and 1+theta: gradient peaks, two stationary points, interior max
@@ -111,9 +111,14 @@ def assert_oracle_optimal(s, sol, grid_points=257):
     assert got >= best - 1e-9 * abs(best), (s, sol, float(got), float(best))
 
 
+def coefficients(s):
+    """The decision coefficients ``(a, b)`` from their logs."""
+    return tuple(map(math.exp, _log_coefficients(s)[:2]))
+
+
 class TestDecisionCoefficients:
     def test_reference_values(self, table2):
-        coeff_a, coeff_b = _coefficients(table2)
+        coeff_a, coeff_b = coefficients(table2)
         a, b = _oracle.coefficients(table2)
         assert coeff_a == pytest.approx(float(a), rel=1e-13)
         assert coeff_b == pytest.approx(float(b), rel=1e-13)
@@ -121,23 +126,25 @@ class TestDecisionCoefficients:
         assert coeff_b == pytest.approx(3.17510194943e-5, rel=1e-9)
 
     def test_free_service_maximises_a(self, table2):
-        free_a, free_b = _coefficients(dataclasses.replace(table2, price=0.0))
-        a, b = _coefficients(table2)
+        free_a, free_b = coefficients(dataclasses.replace(table2, price=0.0))
+        a, b = coefficients(table2)
         assert free_a == pytest.approx(a / table2.margin() ** 2)
         assert free_b == b
 
     def test_b_scales_with_provider_survival(self, table2):
         # b is linear in (1 - pi_s) and vanishes in the certain-breach limit
-        b_ref = _coefficients(table2)[1] / (1.0 - table2.pi_s)
+        b_ref = coefficients(table2)[1] / (1.0 - table2.pi_s)
         for pi_s in (0.0, 0.3, 0.9, 1.0 - 1e-12):
-            _, b = _coefficients(dataclasses.replace(table2, pi_s=pi_s))
+            _, b = coefficients(dataclasses.replace(table2, pi_s=pi_s))
             assert b == pytest.approx(b_ref * (1.0 - pi_s), rel=1e-12)
 
     def test_degenerate_price_signals(self, table2):
-        # at or above the willingness-to-pay the demand, and with it a, is zero
-        b = _coefficients(table2)[1]
+        # at or above the willingness-to-pay the demand, and with it a, is
+        # zero: its log is -inf, not a ValueError from log(0)
+        lb = _log_coefficients(table2)[1]
         for price in (1.0, 1.5):
-            assert _coefficients(dataclasses.replace(table2, price=price)) == (0.0, b)
+            la, lb2, lr = _log_coefficients(dataclasses.replace(table2, price=price))
+            assert (la, lb2, lr) == (-math.inf, lb, -math.inf)
 
 
 class TestClassifyRegime:
@@ -573,7 +580,7 @@ class TestOracleProperty:
 class TestNormalizedGradient:
     def test_matches_the_linear_form(self, table2):
         # (A - B)/(A + B) with A = a l**(nu-1), B = pi_s + b l**theta
-        a, b = _coefficients(table2)
+        a, b = (float(c) for c in _oracle.coefficients(table2))
         for l in (1e-3, 1.0, 3797.0, table2.l_n):
             big_a, big_b = a * l ** (table2.nu - 1.0), table2.pi_s + b * l**table2.theta
             assert normalized_gradient(table2, l) == pytest.approx((big_a - big_b) / (big_a + big_b), abs=1e-15)
@@ -683,8 +690,7 @@ class TestRootRefinement:
 
 def gradient_of(s):
     """The surplus gradient in ``l``."""
-    a, b = _coefficients(s)
-    return lambda l: _gradient(s, a, b, l)
+    return lambda l: surplus_gradient(s, l)
 
 
 @st.composite
