@@ -44,7 +44,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .model import Scenario, _gain, pareto_privacy_parameter
+from .model import Scenario, _gain, _number, pareto_privacy_parameter
 from .secure import (
     optimal_loss_ratio,
     secure_elasticities,
@@ -113,21 +113,12 @@ class ReportBundle:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        pairs = self.tornado_pairs
-        out = {name: _encode(getattr(self, name)) for name in _BUNDLE_PARTS}
-        out.update(
-            command=self.command,
-            tornado=None if pairs is None else [
-                {"minus": _encode(m), "plus": _encode(p)} for m, p in pairs
-            ],
-            summary=dict(self.summary),
-            metadata=dict(self.metadata),
-        )
+        """The bundle as JSON-ready data; ``tornado_pairs`` is written as
+        ``tornado``, a list of ``{"minus", "plus"}`` rows."""
+        out = _encode(self)
+        pairs = out.pop("tornado_pairs")
+        out["tornado"] = None if pairs is None else [{"minus": m, "plus": p} for m, p in pairs]
         return out
-
-
-#: Bundle fields that are dataclasses, serialised under their own names.
-_BUNDLE_PARTS = ("scenario", "solution", "feasibility", "sweep")
 
 
 def _encode(value):
@@ -143,21 +134,6 @@ def _encode(value):
 
 # ---------------------------------------------------------------------------
 # scenario loading
-
-
-def _number(name: str, value, whole: bool = False) -> float:
-    """A finite JSON number (not a bool), optionally integral, as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(name, f"must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValidationError(name, "must be finite")
-    if whole and number != int(number):
-        raise ValidationError(name, f"must be a whole number, got {value!r}")
-    return number
 
 
 def load_scenario(path: str) -> ScenarioFile:
@@ -240,17 +216,13 @@ def _metadata(sf: ScenarioFile | None, args) -> dict:
 
 
 def _grid_from(sf: ScenarioFile, args) -> tuple:
+    """The sweep grid: the scenario's ``sweep`` block, overridden flag by flag."""
     spec = dict(sf.sweep or {})
     for key in SWEEP_KEYS:
         override = getattr(args, key, None)
         if override is not None:
             spec[key] = override
-    return default_price_grid(
-        sf.scenario,
-        pmin=spec.get("pmin", 0.0),
-        pmax=spec.get("pmax"),
-        points=int(spec.get("points", 201)),
-    )
+    return default_price_grid(sf.scenario, **spec)
 
 
 def _clean(value):
@@ -271,24 +243,18 @@ def _cmd_solve(sf, args, out):
     out.write(f"surplus           {sol.surplus:.6g}\n")
     out.write(f"gradient residual {residual:.3e} (normalized)\n")
     out.write(f"unique guaranteed {rep.guaranteed_unique}\n")
-    return ReportBundle(
-        command="solve",
-        scenario=s,
-        solution=sol,
-        feasibility=rep,
-        summary={"normalized_gradient": residual},
-    )
+    return {"solution": sol, "feasibility": rep, "summary": {"normalized_gradient": residual}}
 
 
 def _cmd_feasibility(sf, args, out):
-    s = sf.scenario
-    rep = feasibility_report(s)
+    rep = feasibility_report(sf.scenario)
     out.write(f"regime            {rep.regime.value}\n")
     for cond in rep.conditions:
         state = "satisfied" if cond.satisfied else "violated"
-        out.write(f"condition         {cond.name}: bound {cond.bound:.6g} ({state})\n")
+        bound = "undefined" if cond.bound is None else f"{cond.bound:.6g}"
+        out.write(f"condition         {cond.name}: bound {bound} ({state})\n")
     out.write(f"unique guaranteed {rep.guaranteed_unique}\n")
-    return ReportBundle(command="feasibility", scenario=s, feasibility=rep)
+    return {"feasibility": rep}
 
 
 def _cmd_sweep_price(sf, args, out):
@@ -297,8 +263,7 @@ def _cmd_sweep_price(sf, args, out):
     if series.saturation_price is not None:
         out.write(f"saturation price  {series.saturation_price:.6g}\n")
     out.write(f"l_opt range       [{min(series.l_opt):.6g}, {max(series.l_opt):.6g}]\n")
-    summary = {"saturation_price": series.saturation_price}
-    return ReportBundle(command="sweep-price", scenario=sf.scenario, sweep=series, summary=summary)
+    return {"sweep": series, "summary": {"saturation_price": series.saturation_price}}
 
 
 def _cmd_sweep_revenue(sf, args, out):
@@ -311,7 +276,7 @@ def _cmd_sweep_revenue(sf, args, out):
         "revenue_argmax_price": best_price,
         "saturation_price": series.saturation_price,
     }
-    return ReportBundle(command="sweep-revenue", scenario=sf.scenario, sweep=series, summary=summary)
+    return {"sweep": series, "summary": summary}
 
 
 def _cmd_sweep_olr(sf, args, out):
@@ -321,12 +286,11 @@ def _cmd_sweep_olr(sf, args, out):
     if olr:
         out.write(f"olr range         [{min(olr):.6g}, {max(olr):.6g}]\n")
     else:
-        out.write("olr range         undefined (vulnerable optimum 0 everywhere)\n")
+        out.write("olr range         undefined at every grid price\n")
     if series.saturation_price is not None:
         out.write(f"secure-side kink  {series.saturation_price:.6g}\n")
     series = replace(series, olr=tuple(_clean(x) for x in series.olr))
-    summary = {"kink_price": series.saturation_price}
-    return ReportBundle(command="sweep-olr", scenario=sf.scenario, sweep=series, summary=summary)
+    return {"sweep": series, "summary": {"kink_price": series.saturation_price}}
 
 
 def _cmd_tornado(sf, args, out):
@@ -340,7 +304,7 @@ def _cmd_tornado(sf, args, out):
         )
     if any(m.mixed_status or p.mixed_status for m, p in pairs):
         out.write("(* perturbation changed the solution status)\n")
-    return ReportBundle(command="tornado", scenario=sf.scenario, tornado_pairs=pairs)
+    return {"tornado_pairs": pairs}
 
 
 def _cmd_secure(sf, args, out):
@@ -364,16 +328,13 @@ def _cmd_secure(sf, args, out):
             out.write(f"{key:<18}{value:.6g}\n")
         else:
             out.write(f"{key:<18}{value}\n")
-    return ReportBundle(command="secure", scenario=s, summary=summary)
+    return {"summary": summary}
 
 
 def _cmd_pareto_nu(sf, args, out):
     nu = pareto_privacy_parameter(args.benefit, args.loss)
     out.write(f"nu                {nu:.6f}\n")
-    return ReportBundle(
-        command="pareto-nu",
-        summary={"benefit_fraction": args.benefit, "loss_fraction": args.loss, "nu": nu},
-    )
+    return {"summary": {"benefit_fraction": args.benefit, "loss_fraction": args.loss, "nu": nu}}
 
 
 def _cmd_solve_discrete(sf, args, out):
@@ -384,11 +345,8 @@ def _cmd_solve_discrete(sf, args, out):
     out.write(f"chosen index      {shown}\n")
     out.write(f"loss              {loss:.6g}\n")
     out.write(f"surplus           {surplus:.6g}\n")
-    return ReportBundle(
-        command="solve-discrete",
-        scenario=sf.scenario,
-        summary={"index": index, "loss": loss, "surplus": surplus, "candidates": len(sf.losses)},
-    )
+    summary = {"index": index, "loss": loss, "surplus": surplus, "candidates": len(sf.losses)}
+    return {"summary": summary}
 
 
 def _cmd_oracle_check(sf, args, out):
@@ -408,17 +366,13 @@ def _cmd_oracle_check(sf, args, out):
         raise NumericError(
             f"solver and {n}-point grid oracle disagree: |{sol.l_opt} - {grid_best}| > {tolerance}"
         )
-    return ReportBundle(
-        command="oracle-check",
-        scenario=s,
-        solution=sol,
-        summary={
-            "grid_points": n,
-            "oracle_argmax": grid_best,
-            "abs_difference": diff,
-            "tolerance": tolerance,
-        },
-    )
+    summary = {
+        "grid_points": n,
+        "oracle_argmax": grid_best,
+        "abs_difference": diff,
+        "tolerance": tolerance,
+    }
+    return {"solution": sol, "summary": summary}
 
 
 _HANDLERS = {
@@ -443,13 +397,18 @@ def run_command(command: str, scenario_file: ScenarioFile | None, args, out=None
     ``grid`` for oracle-check, ``pmin``/``pmax``/``points`` for the
     sweeps, ``benefit``/``loss`` for pareto-nu, and ``no_timestamp``.  Errors surface as
     package exceptions; the CLI entry point maps them to exit codes.
+    Each handler writes its text to ``out`` and returns the bundle parts
+    it computed; the command, scenario and metadata are added here.
     """
     if command not in _HANDLERS:
         raise UsageError(f"unknown command {command!r}")
-    out = out or sys.stdout
-    bundle = _HANDLERS[command](scenario_file, args, out)
-    bundle.metadata = _metadata(scenario_file, args)
-    return bundle
+    parts = _HANDLERS[command](scenario_file, args, out or sys.stdout)
+    return ReportBundle(
+        command=command,
+        scenario=None if scenario_file is None else scenario_file.scenario,
+        metadata=_metadata(scenario_file, args),
+        **parts,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +557,7 @@ def main(argv=None) -> int:
 
     scenario_file = None
     try:
-        if args.command != "pareto-nu":
+        if getattr(args, "scenario", None) is not None:
             scenario_file = load_scenario(args.scenario)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"scenario parse error: {exc}", file=sys.stderr)

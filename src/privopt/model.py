@@ -107,6 +107,22 @@ def _ratio_power(s: Scenario, l, e: float):
         return np.exp(e * np.log(ratio))
 
 
+def _number(name: str, value, whole: bool = False) -> float:
+    """A finite int or float (not a bool), optionally integral, as a
+    float; ValidationError naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(name, f"must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(name, "must be finite")
+    if whole and number != int(number):
+        raise ValidationError(name, f"must be a whole number, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class Scenario:
     """All nine model parameters for one customer/provider pair.
@@ -137,6 +153,13 @@ class Scenario:
     pi_c_star: float
 
     def __post_init__(self):
+        # by name, not through vars(self): reading __dict__ would build a
+        # dict the instance otherwise never needs, and slow every later read
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if type(value) is not float or not math.isfinite(value):
+                # an int is stored as its float, so it prints like one in reprs and reports
+                object.__setattr__(self, name, _number(name, value))
         checks = [
             ("q_star", self.q_star > 0, "must be > 0"),
             ("p_star", self.p_star > 0, "must be > 0"),
@@ -149,14 +172,8 @@ class Scenario:
             ("pi_c_star", 0 < self.pi_c_star < 1, "must lie strictly inside (0, 1)"),
         ]
         for field, ok, msg in checks:
-            value = getattr(self, field)
-            if not math.isfinite(value):
-                raise ValidationError(field, "must be finite")
             if not ok:
-                raise ValidationError(field, f"{msg} (got {value!r})")
-            if type(value) is not float:
-                # stored as its float, so an int field prints like one in reprs and reports
-                object.__setattr__(self, field, float(value))
+                raise ValidationError(field, f"{msg} (got {getattr(self, field)!r})")
 
     def margin(self) -> float:
         """Relative price margin ``1 - price/p_star`` clamped at 0."""
@@ -293,11 +310,17 @@ def pareto_privacy_parameter(benefit_fraction: float, loss_fraction: float) -> f
 
 def _surplus_scale(s: Scenario) -> float:
     """Net surplus at ``l = 0``, ``C = (p*q*/2) margin**2``, evaluated as
-    ``(0.5 p* margin)(q* margin)``; DomainError where ``C`` overflows."""
+    ``(0.5 p* margin)(q* margin)``.
+
+    DomainError where ``C (1 + alpha_n)`` overflows: the surplus on
+    ``[0, l_n]`` lies below it and the benefit term ``C alpha_n
+    (l/l_n)^nu`` below ``C alpha_n``, so no value of ``_gain`` or
+    ``net_surplus`` overflows once it passes.
+    """
     m = s.margin()
     c = (0.5 * s.p_star * m) * (s.q_star * m)
-    if c == math.inf:
-        raise DomainError("surplus scale (p*q*/2) margin^2 overflows the float range")
+    if c * (1.0 + s.alpha_n) == math.inf:
+        raise DomainError("surplus scale (p*q*/2) margin^2 (1 + alpha_n) overflows the float range")
     return c
 
 

@@ -98,14 +98,18 @@ def optimal_loss_ratio(s) -> float:
 
     At least 1: removing provider-side risk never reduces the optimal
     exposure.  Exactly 1 when ``pi_s`` is already 0 or when both optima
-    sit at the cap.
+    sit at the cap.  DomainError where it is undefined: a vulnerable
+    optimum of 0, or a ratio beyond the float range.
     """
     if s.pi_s == 0.0:
         return 1.0
     vulnerable = solve_tradeoff(s).l_opt
     if vulnerable <= 0.0:
         raise DomainError("optimal loss ratio undefined: vulnerable-provider optimum is 0")
-    return secure_feasible_loss(s) / vulnerable
+    ratio = secure_feasible_loss(s) / vulnerable
+    if ratio == math.inf:
+        raise DomainError(f"optimal loss ratio undefined: overflows over a vulnerable-provider optimum of {vulnerable!r}")
+    return ratio
 
 
 def secure_elasticities(s) -> SecureElasticities:
@@ -144,7 +148,8 @@ def secure_quasi_elasticities(s) -> SecureQuasiElasticities:
 
     ``rho`` is finite even where ``l*/l_n`` under- or overflows the float
     range; there it comes from the log of the closed form.  Raises
-    DomainError when ``price >= p_star``.
+    DomainError when ``price >= p_star`` or when a quasi-elasticity
+    overflows the float range (``qeps_pi_c*`` does for a tiny ``pi_c*``).
     """
     if s.price >= s.p_star:
         raise DomainError("quasi-elasticities require price < p_star")
@@ -155,8 +160,7 @@ def secure_quasi_elasticities(s) -> SecureQuasiElasticities:
     else:
         rho = _log_coefficients(s)[2] / d - math.log(s.l_n)
     k = 1.0 / d
-    return SecureQuasiElasticities(
-        qeps_nu=k * (1.0 / s.nu + rho),
-        qeps_theta=-k * (rho + 1.0 / (s.theta + 1.0)),
-        qeps_pi_c_star=-k / s.pi_c_star,
-    )
+    values = (k * (1.0 / s.nu + rho), -k * (rho + 1.0 / (s.theta + 1.0)), -k / s.pi_c_star)
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"secure quasi-elasticities {values} overflow the float range")
+    return SecureQuasiElasticities(*values)

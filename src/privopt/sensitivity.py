@@ -288,16 +288,18 @@ def olr_sweep(s: Scenario, grid) -> SweepSeries:
     and each point's re-priced scenario also gives the secure-side
     optimum.  The reported saturation price is the kink where the
     secure-side optimum leaves the cap; below both saturation points the
-    ratio is exactly 1.  Grid points whose vulnerable optimum is 0 yield
-    NaN.
+    ratio is exactly 1.  Grid points where the ratio is undefined, as in
+    ``optimal_loss_ratio`` (a vulnerable optimum of 0, or a ratio beyond
+    the float range), yield NaN.
     """
     if s.pi_s <= 0.0:
         raise UsageError("OLR sweep needs pi_s > 0; the ratio is identically 1 otherwise")
     series, scenarios = _solve_grid(s, grid)
-    olr = tuple(
+    ratios = (
         secure_feasible_loss(s2) / l if l > 0 else math.nan
         for s2, l in zip(scenarios, series.l_opt)
     )
+    olr = tuple(r if r < math.inf else math.nan for r in ratios)
     kink = None
     if classify_regime(s) is Regime.NU_LT_1:
         kink = saturation_price(_repriced(s, pi_s=0.0))
@@ -313,10 +315,12 @@ def saturation_price(s: Scenario) -> float:
                              / (alpha_n q* p* nu)))
 
     clamped to ``[0, p*]``.  Only meaningful in the monotone ``nu < 1``
-    regime.
+    regime.  A denominator that underflows to 0 is an infinite ratio, so
+    the price clamps to 0.
     """
     if classify_regime(s) is not Regime.NU_LT_1:
         raise UsageError("saturation price applies to the nu < 1 regime only")
-    ratio = _cap_risk(s) * 2.0 * s.l_n / (s.alpha_n * s.q_star * s.p_star * s.nu)
+    benefit = s.alpha_n * s.q_star * s.p_star * s.nu
+    ratio = _cap_risk(s) * 2.0 * s.l_n / benefit if benefit else math.inf
     p_sat = s.p_star * (1.0 - math.sqrt(ratio))
     return float(min(max(p_sat, 0.0), s.p_star))

@@ -111,9 +111,18 @@ class TradeoffSolution:
 
 @dataclass(frozen=True)
 class FeasibilityCondition:
+    """One condition on ``l_n``: ``bound`` is the edge ``l_n`` is compared
+    against, None where its formula leaves the float range (it overflows,
+    or an overflow meets a zero margin); ``satisfied`` is the comparison
+    with the value the formula gave."""
+
     name: str
-    bound: float
+    bound: float | None
     satisfied: bool
+
+    def __post_init__(self):
+        if self.bound is not None and not math.isfinite(self.bound):
+            object.__setattr__(self, "bound", None)
 
 
 @dataclass(frozen=True)

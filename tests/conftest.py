@@ -61,6 +61,45 @@ SUBNORMAL_OPTIMUM = {
     "l_n": 10**0.5, "pi_s": 0.0, "pi_c_star": 0.1,
 }
 
+#: nu == 1 scenario whose surplus scale C (about 3.7e233) is finite but
+#: whose benefit term C alpha_n overflows the float range
+OVERFLOWING_BENEFIT = {
+    "q_star": 3.520288460493152e+132, "p_star": 2.1021333158656007e+101, "price": 0.0,
+    "nu": 1.0, "theta": 0.30831640229020063, "alpha_n": 1.4615537556507276e+95,
+    "l_n": 6.726902073525777e-84, "pi_s": 4.955447594909692e-149, "pi_c_star": 1.8083401027650518e-258,
+}
+
+#: nu < 1 scenario whose product alpha_n q* p* nu underflows to 0 in the
+#: saturation price; the true ratio there is about 2e51
+UNDERFLOWING_SATURATION = {
+    "q_star": 2.744169072361026e-146, "p_star": 4.476281409031374e-90, "price": 2.743382468368329e-90,
+    "nu": 0.021027153853027503, "theta": 0.5318858993951017, "alpha_n": 5.1831301897536705e-90,
+    "l_n": 5.234262783296872e-77, "pi_s": 7.924797068931474e-240, "pi_c_star": 1.4674189065060792e-200,
+}
+
+#: nu < 1 scenario whose vulnerable optimum, about 1.5e-288, lies so far
+#: below the secure one, about 1.26e76, that their ratio overflows
+OVERFLOWING_OLR = {
+    "q_star": 6.717827127761007e-45, "p_star": 9.226257398274762e-149, "price": 9.226257388822654e-149,
+    "nu": 0.6260089656287953, "theta": 0.7410190866446298, "alpha_n": 1.5442023069123053e+49,
+    "l_n": 1.259420070468783e+76, "pi_s": 3.1538709600953613e-102, "pi_c_star": 2.503037548200338e-251,
+}
+
+#: 1 < nu < 1 + theta scenario whose uniqueness bound, about 8e302, is
+#: finite, but whose linear formula overflows on the way
+OVERFLOWING_BOUND = {
+    "q_star": 1e160, "p_star": 1e160, "price": 9.9999999990000005e+159,
+    "nu": 1.3, "theta": 0.5, "alpha_n": 0.2,
+    "l_n": 1e4, "pi_s": 1e-4, "pi_c_star": 1e-4,
+}
+
+#: nu == 1 scenario with a subnormal pi_c*: the lower band edge lies
+#: beyond the float range, and so does the secure quasi-elasticity in pi_c*
+TINY_RISK = {
+    "q_star": 250.0, "p_star": 1.0, "price": 0.5, "nu": 1.0, "theta": 0.5,
+    "alpha_n": 0.2, "l_n": 1e4, "pi_s": 0.0, "pi_c_star": 1e-310,
+}
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
@@ -119,9 +158,8 @@ def _log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
 
 
-@st.composite
-def fuzz_scenarios(draw):
-    """Scenarios over the solve-mix fuzz ranges, in all five regimes."""
+def _exponents(draw) -> tuple:
+    """``(nu, theta)`` drawn in one of the five regimes."""
     regime = draw(st.sampled_from(list(Regime)))
     theta = draw(st.floats(0.01, 0.99))
     if regime is Regime.NU_LT_1:
@@ -134,6 +172,13 @@ def fuzz_scenarios(draw):
         nu = 1.0
     else:
         nu = 1.0 + theta
+    return nu, theta
+
+
+@st.composite
+def fuzz_scenarios(draw):
+    """Scenarios over the solve-mix fuzz ranges, in all five regimes."""
+    nu, theta = _exponents(draw)
     p_star = draw(_log_uniform(1e-3, 1e6))
     return Scenario(
         q_star=draw(_log_uniform(1e-3, 1e9)),
@@ -145,4 +190,24 @@ def fuzz_scenarios(draw):
         l_n=draw(_log_uniform(1e-3, 1e12)),
         pi_s=draw(st.just(0.0) | _log_uniform(1e-12, 0.5)),
         pi_c_star=draw(_log_uniform(1e-12, 0.5)),
+    )
+
+
+@st.composite
+def wide_scenarios(draw):
+    """Scenarios in all five regimes whose scales span most of the float
+    range: ``q*``, ``p*`` and ``l_n`` in [1e-150, 1e150], ``alpha_n`` in
+    [1e-100, 1e100], ``pi_s`` and ``pi_c*`` down to 1e-300."""
+    nu, theta = _exponents(draw)
+    p_star = draw(_log_uniform(1e-150, 1e150))
+    return Scenario(
+        q_star=draw(_log_uniform(1e-150, 1e150)),
+        p_star=p_star,
+        price=p_star * draw(st.floats(0.0, 0.999)),
+        nu=nu,
+        theta=theta,
+        alpha_n=draw(_log_uniform(1e-100, 1e100)),
+        l_n=draw(_log_uniform(1e-150, 1e150)),
+        pi_s=draw(st.just(0.0) | _log_uniform(1e-300, 0.5)),
+        pi_c_star=draw(_log_uniform(1e-300, 0.5)),
     )

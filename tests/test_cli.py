@@ -41,15 +41,21 @@ from privopt.cli import (
 from privopt.sensitivity import MAX_SWEEP_POINTS
 from privopt.solver import MAX_ORACLE_POINTS
 from conftest import (
+    OVERFLOWING_BENEFIT,
+    OVERFLOWING_BOUND,
     OVERFLOWING_BRACKET,
     OVERFLOWING_EQ1,
+    OVERFLOWING_OLR,
     OVERFLOWING_SURPLUS,
     REPO_ROOT,
     SCENARIO_DIR,
     SUBNORMAL_CAP,
     SUBNORMAL_OPTIMUM,
     TINY_OPTIMUM,
+    TINY_RISK,
+    UNDERFLOWING_SATURATION,
     fuzz_scenarios,
+    wide_scenarios,
 )
 
 TABLE1 = str(SCENARIO_DIR / "table1.json")
@@ -85,6 +91,45 @@ def write_scenario(tmp_path, name="scenario.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def write_params(tmp_path, params):
+    """A scenario file holding ``params`` alone, without table2's blocks."""
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    return str(path)
+
+
+def run_scenario_commands(s, grid, points=None):
+    """Exit code of every scenario command on ``s`` with ``--out``, with
+    ``--grid grid`` for oracle-check and ``--points points`` for the sweeps.
+
+    No command may write a warning, and every exit-0 report must be strict
+    JSON naming its command.  The losses block is ``[l_n/4, l_n/2]``.
+    """
+    doc = dict(dataclasses.asdict(s), losses=[s.l_n / 4, s.l_n / 2])
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for command in COMMANDS:
+            if command == "pareto-nu":
+                continue
+            out = os.path.join(tmp, f"{command}.json")
+            argv = [command, path, "--no-timestamp", "--out", out]
+            if command == "oracle-check":
+                argv += ["--grid", str(grid)]
+            if points is not None and command.startswith("sweep-"):
+                argv += ["--points", str(points)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                codes[command] = main(argv)
+            assert "Warning" not in err.getvalue(), (command, err.getvalue(), s)
+            if codes[command] == EXIT_OK:
+                with open(out) as fh:
+                    assert strict_json(fh.read())["command"] == command
+    return codes
 
 
 class TestLoadScenario:
@@ -149,11 +194,21 @@ class TestLoadScenario:
             ({"losses": [True, 2]}, "losses[0]"),
             ({"tornado": []}, "tornado"),  # not the default plan in disguise
             ({"q_star": 10**400}, "q_star"),  # an integer beyond the float range
+            ({"sweep": [0.0, 0.5]}, "sweep"),
+            ({"sweep": {"pmid": 0.5}}, "sweep.pmid"),
+            ({"tornado": {"nu": [0.1, 0.2]}}, "tornado"),
+            ({"tornado": [["nu", 0.1]]}, "tornado[0]"),
+            ({"losses": 1000.0}, "losses"),
         ):
             path = write_scenario(tmp_path, **block)
             with pytest.raises(ValidationError) as exc:
                 load_scenario(path)
             assert exc.value.field == field
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(str(path))
+        assert exc.value.field == "document"
         assert main(["sweep-price", write_scenario(tmp_path, sweep={"points": float("nan")})]) == EXIT_VALIDATION
         assert main(["tornado", write_scenario(tmp_path, tornado=[])]) == EXIT_VALIDATION
 
@@ -407,6 +462,57 @@ class TestCommands:
         assert main(["solve", str(path), "--out", str(tmp_path / "solve.json")]) == EXIT_VALIDATION
         assert "surplus scale" in capsys.readouterr().err
 
+    def test_overflowing_benefit_exits_validation(self, tmp_path, capsys):
+        # C is finite but C alpha_n is not: every command that evaluates the
+        # surplus names the surplus scale, with no overflow warning first
+        path = write_params(tmp_path, dict(OVERFLOWING_BENEFIT, losses=[1e-84, 3e-84]))
+        for command in COMMANDS:
+            if command == "pareto-nu":
+                continue
+            argv = [command, path, "--no-timestamp", "--out", str(tmp_path / f"{command}.json")]
+            if command == "oracle-check":
+                argv += ["--grid", "1001"]
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert "Warning" not in err, command
+            if command in ("feasibility", "secure"):
+                assert code == EXIT_OK, command
+            else:
+                assert code == EXIT_VALIDATION, command
+                assert "surplus scale" in err, command
+
+    def test_underflowing_saturation_product_clamps_to_zero(self, tmp_path):
+        # alpha_n q* p* nu underflows to 0: an infinite ratio, a saturation price of 0
+        path = write_params(tmp_path, UNDERFLOWING_SATURATION)
+        for command, key in (("sweep-price", "saturation_price"), ("sweep-revenue", "saturation_price"),
+                             ("sweep-olr", "kink_price")):
+            out = tmp_path / f"{command}.json"
+            assert main([command, path, "--points", "21", "--no-timestamp", "--out", str(out)]) == EXIT_OK
+            assert strict_json(out.read_text())["summary"][key] == 0.0, command
+
+    def test_overflowing_olr_is_null(self, tmp_path, capsys):
+        # the secure optimum is about 1e364 times the vulnerable one: no ratio
+        path = write_params(tmp_path, OVERFLOWING_OLR)
+        secure, olr = tmp_path / "secure.json", tmp_path / "olr.json"
+        assert main(["secure", path, "--no-timestamp", "--out", str(secure)]) == EXIT_OK
+        assert strict_json(secure.read_text())["summary"]["olr"] is None
+        argv = ["sweep-olr", path, "--points", "21", "--no-timestamp", "--out", str(olr)]
+        assert main(argv) == EXIT_OK
+        assert strict_json(olr.read_text())["sweep"]["olr"] == [None] * 21
+        assert "olr range         undefined at every grid price" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("params, satisfied", [(OVERFLOWING_BOUND, True), (TINY_RISK, False)],
+                             ids=["overflowing_bound", "tiny_risk"])
+    def test_overflowing_feasibility_bound_is_null(self, tmp_path, capsys, params, satisfied):
+        path = write_params(tmp_path, params)
+        for command in ("solve", "feasibility"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, path, "--no-timestamp", "--out", str(out)]) == EXIT_OK, command
+            (condition,) = strict_json(out.read_text())["feasibility"]["conditions"]
+            assert condition["bound"] is None
+            assert condition["satisfied"] is satisfied
+        assert f"bound undefined ({'satisfied' if satisfied else 'violated'})" in capsys.readouterr().out
+
     def test_secure_reports_olr(self, capsys):
         assert main(["secure", TABLE2]) == EXIT_OK
         out = capsys.readouterr().out
@@ -498,6 +604,16 @@ class TestReports:
         keys = {ln.split(",")[0] for ln in lines[1:]}
         assert {"l_opt", "status", "surplus", "regime"} <= keys
 
+    def test_integer_summaries_in_csv(self, table2_file):
+        # solve-discrete and oracle-check summaries hold ints, written as such
+        for command, want in (
+            ("solve-discrete", {"index": "1", "candidates": "3"}),
+            ("oracle-check", {"grid_points": "1001"}),
+        ):
+            bundle = run_command(command, table2_file, make_args(format="csv", grid=1001), out=io.StringIO())
+            rows = dict(line.split(",", 1) for line in render_report(bundle, "csv").splitlines()[1:])
+            assert {key: rows[key] for key in want} == want, command
+
     def test_reports_are_strict_json_on_overflowing_scenario(self, tmp_path):
         # the closed-form stationary point and the raw secure optimum overflow to inf;
         # neither may reach a report as Infinity, and no command may end in a traceback
@@ -534,7 +650,7 @@ class TestReports:
 
     def test_non_finite_report_value_exits_numeric(self, tmp_path, monkeypatch, capsys):
         def handler(sf, args, out):
-            return ReportBundle(command="pareto-nu", summary={"nu": math.inf})
+            return {"summary": {"nu": math.inf}}
 
         monkeypatch.setitem(cli._HANDLERS, "pareto-nu", handler)
         out = tmp_path / "r.json"
@@ -543,7 +659,7 @@ class TestReports:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
         with pytest.raises(NumericError):
-            render_report(handler(None, None, None), "json")
+            render_report(ReportBundle(command="pareto-nu", **handler(None, None, None)), "json")
 
     @given(s=fuzz_scenarios())
     @example(s=Scenario(**OVERFLOWING_BRACKET))
@@ -554,25 +670,23 @@ class TestReports:
         # every scenario command either exits cleanly with a report that
         # strict JSON accepts or names the scenario invalid for it (exit 1
         # or 3); solve always succeeds
-        doc = dict(dataclasses.asdict(s), losses=[s.l_n / 4, s.l_n / 2])
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "scenario.json")
-            with open(path, "w") as fh:
-                json.dump(doc, fh)
-            for command in COMMANDS:
-                if command == "pareto-nu":
-                    continue
-                out = os.path.join(tmp, f"{command}.json")
-                argv = [command, path, "--no-timestamp", "--out", out]
-                if command == "oracle-check":
-                    argv += ["--grid", "2001"]
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                    code = main(argv)
-                allowed = (EXIT_OK,) if command == "solve" else (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION)
-                assert code in allowed, (command, code, s)
-                if code == EXIT_OK:
-                    with open(out) as fh:
-                        assert strict_json(fh.read())["command"] == command
+        for command, code in run_scenario_commands(s, grid=2001).items():
+            allowed = (EXIT_OK,) if command == "solve" else (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION)
+            assert code in allowed, (command, code, s)
+
+    @given(s=wide_scenarios())
+    @example(s=Scenario(**OVERFLOWING_BENEFIT))
+    @example(s=Scenario(**UNDERFLOWING_SATURATION))
+    @example(s=Scenario(**OVERFLOWING_OLR))
+    @example(s=Scenario(**OVERFLOWING_BOUND))
+    @example(s=Scenario(**TINY_RISK))
+    @settings(max_examples=30, deadline=None)
+    def test_wide_magnitudes_exit_cleanly(self, s):
+        # scales across most of the float range: no traceback, no warning and
+        # no non-finite report (exit 4); a scenario a command cannot serve is
+        # a usage or validation error
+        for command, code in run_scenario_commands(s, grid=1001, points=21).items():
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION), (command, code, s)
 
     def test_tiny_optimum_solves_to_the_root(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"

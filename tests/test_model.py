@@ -56,6 +56,11 @@ class TestScenarioValidation:
             ("pi_c_star", 0.0),
             ("pi_c_star", 1.0),
             ("nu", float("nan")),
+            pytest.param("q_star", 10**400, id="q_star-int-beyond-float"),
+            ("l_n", float("inf")),
+            ("price", "1"),
+            ("nu", None),
+            ("alpha_n", True),
         ],
     )
     def test_rejects_and_names_field(self, table2, field, value):

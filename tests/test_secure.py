@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import _oracle
-from conftest import OVERFLOWING_EQ1, fuzz_scenarios, make_random_scenario
+from conftest import OVERFLOWING_EQ1, OVERFLOWING_OLR, TINY_RISK, fuzz_scenarios, make_random_scenario
 from privopt import (
     ClosedFormInapplicableError,
     DomainError,
@@ -100,6 +100,11 @@ class TestOptimalLossRatio:
     def test_zero_denominator_rejected(self, table2):
         with pytest.raises(DomainError):
             optimal_loss_ratio(dataclasses.replace(table2, price=table2.p_star))
+
+    def test_overflowing_ratio_rejected(self):
+        # the secure optimum is about 1e364 times the vulnerable one
+        with pytest.raises(DomainError, match="overflows"):
+            optimal_loss_ratio(Scenario(**OVERFLOWING_OLR))
 
     def test_never_below_one_on_price_grid(self, table2):
         for p in np.linspace(0.0, 0.98, 50):
@@ -228,6 +233,11 @@ class TestSecureQuasiElasticities:
         )
         assert secure_optimal_loss(s)[0] == math.inf
         self.assert_matches_reference(s)
+
+    def test_overflowing_quasi_elasticity_rejected(self):
+        # -k / pi_c* with a subnormal pi_c* lies beyond the float range
+        with pytest.raises(DomainError, match="overflow"):
+            secure_quasi_elasticities(Scenario(**TINY_RISK))
 
     def test_pi_c_star_always_negative(self, table2):
         rng = np.random.default_rng(5)

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import privopt.sensitivity
-from conftest import SUBNORMAL_OPTIMUM, fuzz_scenarios
+from conftest import OVERFLOWING_OLR, SUBNORMAL_OPTIMUM, UNDERFLOWING_SATURATION, fuzz_scenarios
 from privopt import (
     DomainError,
     Scenario,
@@ -291,6 +291,13 @@ class TestOlrSweep:
         with pytest.raises(UsageError):
             olr_sweep(dataclasses.replace(table2, pi_s=0.0), (0.1, 0.5))
 
+    def test_overflowing_ratio_is_nan(self):
+        # positive vulnerable optima near 1e-240, secure ones near 1e76
+        s = Scenario(**OVERFLOWING_OLR)
+        series = olr_sweep(s, default_price_grid(s, points=21))
+        assert all(l > 0.0 for l in series.l_opt)
+        assert all(math.isnan(x) for x in series.olr)
+
 
 def reference_price_sweep(s, grid):
     """The sweep loop written out: one ``replace`` and one solve per point."""
@@ -429,6 +436,12 @@ class TestSaturationPrice:
     def test_regime_mismatch(self, table2):
         with pytest.raises(UsageError):
             saturation_price(dataclasses.replace(table2, nu=1.5, theta=0.2))
+
+    def test_underflowing_benefit_product_clamps_to_zero(self):
+        # alpha_n q* p* nu underflows to 0; the true ratio is about 2e51
+        s = Scenario(**UNDERFLOWING_SATURATION)
+        assert saturation_price(s) == 0.0
+        assert price_sweep(s, default_price_grid(s, points=5)).saturation_price == 0.0
 
     def test_predicts_solver_status(self, table1):
         p_sat = saturation_price(table1)

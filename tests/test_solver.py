@@ -15,7 +15,16 @@ from scipy.optimize import brentq as reference_brentq
 
 import _oracle
 import privopt.solver
-from conftest import OVERFLOWING_SURPLUS, SUBNORMAL_CAP, TINY_OPTIMUM, fuzz_scenarios, make_random_scenario
+from conftest import (
+    OVERFLOWING_BENEFIT,
+    OVERFLOWING_BOUND,
+    OVERFLOWING_SURPLUS,
+    SUBNORMAL_CAP,
+    TINY_OPTIMUM,
+    TINY_RISK,
+    fuzz_scenarios,
+    make_random_scenario,
+)
 from privopt import (
     DomainError,
     NumericError,
@@ -207,6 +216,15 @@ class TestFeasibilityReport:
         assert cond.name == "sufficient_l_n_upper_bound"
         assert cond.satisfied == (SUBCASE_B_CLAMPED.l_n < cond.bound)
         assert rep.guaranteed_unique == cond.satisfied
+
+    def test_overflowing_bound_is_none(self):
+        # the linear formulas overflow: no bound, but the comparison with inf stands
+        (cond,) = feasibility_report(Scenario(**OVERFLOWING_BOUND)).conditions
+        assert (cond.name, cond.bound, cond.satisfied) == ("sufficient_l_n_upper_bound", None, True)
+        rep = feasibility_report(Scenario(**TINY_RISK))
+        (cond,) = rep.conditions
+        assert (cond.name, cond.bound, cond.satisfied) == ("band_lower_edge", None, False)
+        assert not rep.guaranteed_unique
 
     def test_boundary_regime_not_guaranteed(self, table2):
         s = dataclasses.replace(table2, nu=1.2, theta=0.2)
@@ -544,6 +562,18 @@ class TestOracleGridArgmax:
             oracle_grid_argmax(s, 2 * ORACLE_BLOCK)
         with pytest.raises(DomainError, match="surplus scale"):
             solve_tradeoff(s)
+
+    def test_overflowing_benefit_is_a_domain_error(self):
+        # C is finite, C alpha_n is not: a DomainError before any overflow warning
+        s = Scenario(**OVERFLOWING_BENEFIT)
+        for call in (
+            lambda: net_surplus(s, s.l_n),
+            lambda: net_surplus(s, np.linspace(0.0, s.l_n, 5)),
+            lambda: solve_tradeoff(s),
+            lambda: oracle_grid_argmax(s, 1001),
+        ):
+            with pytest.raises(DomainError, match="surplus scale"):
+                call()
 
 
 class TestStreamRegressions:
