@@ -189,8 +189,15 @@ def _repriced(s: Scenario, **changes: float) -> Scenario:
     the ``replace`` result, for a fraction of its cost.
     """
     s2 = object.__new__(type(s))
-    vars(s2).update(vars(s), **changes)
+    for name in _FIELDS:
+        object.__setattr__(s2, name, changes[name] if name in changes else getattr(s, name))
     return s2
+
+
+#: Scenario's field names in order; ``_repriced`` sets them one by one,
+#: because reading ``vars()`` would give the copy and ``s`` the per-instance
+#: dict that makes every later attribute read slower.
+_FIELDS = tuple(Scenario.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -405,6 +412,40 @@ def net_surplus(s: Scenario, l, *, out=None):
     gain = _gain(s, l, out=out)
     gain += c
     return gain
+
+
+def _surplus_bounds(s: Scenario, ends) -> tuple:
+    """Upper bounds on the net surplus between consecutive points of
+    ``ends``, an increasing float64 array in ``[0, l_n]``, and the scale
+    of the surplus terms.
+
+    Both terms of ``_gain`` rise with ``l`` (``nu, theta > 0``), so on
+    ``[x0, x1]`` the net surplus is at most its benefit at ``x1`` less its
+    expected loss at ``x0``::
+
+        C + C alpha_n (x1/l_n)^nu - [pi_s + pi_c* (1 - pi_s) (x0/l_n)^theta] x0
+
+    with the powers ``_gain`` takes, from the same rounded ratios.
+    Returns the array of these bounds, one per interval, and ``C + C
+    alpha_n + (pi_s + pi_c* (1 - pi_s)) l_n``, which no term of a surplus
+    value or of a bound exceeds in magnitude.
+    """
+    import numpy as np
+
+    c = _surplus_scale(s)
+    k = s.pi_c_star * (1.0 - s.pi_s)
+    with np.errstate(divide="ignore"):
+        lr = np.log(ends / s.l_n)
+    bounds = np.exp(s.nu * lr[1:])
+    bounds *= s.alpha_n
+    bounds *= c
+    bounds += c
+    loss = np.exp(s.theta * lr[:-1])
+    loss *= k
+    loss += s.pi_s
+    loss *= ends[:-1]
+    bounds -= loss
+    return bounds, c + c * s.alpha_n + (s.pi_s + k) * s.l_n
 
 
 def _log_product(*factors) -> float:

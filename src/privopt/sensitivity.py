@@ -109,13 +109,18 @@ class SweepSeries:
     saturation_price: float | None = None
 
     def __post_init__(self):
+        _check_increasing(self.grid)
         n = len(self.grid)
-        if any(self.grid[i] >= self.grid[i + 1] for i in range(n - 1)):
-            raise ValidationError("grid", "must be strictly increasing")
         for name in ("l_opt", "revenue", "statuses", "olr"):
             series = getattr(self, name)
             if series is not None and len(series) != n:
                 raise ValidationError(name, f"length {len(series)} != grid length {n}")
+
+
+def _check_increasing(grid: tuple) -> None:
+    """ValidationError on ``grid`` unless it increases strictly."""
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValidationError("grid", "must be strictly increasing")
 
 
 def _solve_base(s: Scenario):
@@ -232,15 +237,16 @@ def _solve_grid(s: Scenario, grid, sat: float | None = None) -> tuple:
     """The price series of ``s`` on ``grid`` and each point's scenario.
 
     The grid is checked once, before any solve: every price becomes a
-    float with ``0 <= p < p_star``, a comparison that NaN fails too.
-    Each point's scenario is ``s`` re-priced by ``model._repriced`` and
-    costs one ``solve_tradeoff`` call; ``SweepSeries`` checks that the
-    grid increases strictly.
+    float with ``0 <= p < p_star``, a comparison that NaN fails too, and
+    the prices must increase strictly.  Each point's scenario is ``s``
+    re-priced by ``model._repriced`` and costs one ``solve_tradeoff``
+    call.
     """
     grid = tuple(float(p) for p in grid)
     p_star = s.p_star
     if not all(0.0 <= p < p_star for p in grid):
         raise ValidationError("grid", f"prices must lie in [0, {p_star})")
+    _check_increasing(grid)
     scenarios = tuple(_repriced(s, price=p) for p in grid)
     l_opt, revenue, statuses = [], [], []
     for s2 in scenarios:

@@ -32,7 +32,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NumericError, UsageError, ValidationError
-from .model import Scenario, _cap_risk, _decision_equation, _exp, _gain, _logaddexp, net_surplus
+from .model import (
+    Scenario,
+    _cap_risk,
+    _decision_equation,
+    _exp,
+    _gain,
+    _logaddexp,
+    _surplus_bounds,
+    net_surplus,
+)
 
 __all__ = [
     "Regime",
@@ -62,12 +71,16 @@ RTOL = 4 * sys.float_info.epsilon
 #: not its memory.
 MAX_ORACLE_POINTS = 10**7
 
-#: Grid points the oracle evaluates per net_surplus call.  A call
+#: Most grid points the oracle evaluates per net_surplus call.  A call
 #: allocates one working set of four float64 arrays of 256 KiB, the index
 #: base, the grid and the kernel's two buffers, and every block reuses it.
-#: With that reuse, 2**15 was the fastest of 2**12 to 2**17 on a 1e6-point
-#: grid, by min and by median, in each of three repeats.
+#: With that reuse, 2**15 was the fastest of 2**12 to 2**17 on a full walk
+#: of a 1e6-point grid, by min and by median, in each of three repeats.
 ORACLE_BLOCK = 1 << 15
+
+#: Grid points per sub-block of the oracle's bounded walk: the oracle
+#: skips a whole sub-block when a bound proves it holds no maximum.
+_SUB_BLOCK = 1 << 12
 
 
 class Regime(str, Enum):
@@ -397,18 +410,67 @@ def _grid_points(name: str, n, cap: int) -> int:
     return int(n)
 
 
+def _grid_losses(index, s: Scenario, step: float, div: int):
+    """The oracle's grid points at the float ``index`` array, in place.
+
+    The same floats as ``numpy.linspace(0, l_n, div + 1)`` there, clipped
+    to ``l_n``; the caller sets the point of index ``div`` to ``l_n``.
+    """
+    import numpy as np
+
+    # numpy.linspace's two branches; the second keeps a subnormal l_n
+    if step:
+        index *= step
+    else:
+        index /= div
+        index *= s.l_n
+    # a subnormal step can round up, which takes linspace's last points past l_n
+    return np.minimum(index, s.l_n, out=index)
+
+
 def oracle_grid_argmax(s: Scenario, n: int) -> float:
     """Brute-force argmax of the net surplus on a uniform n-point grid.
 
     Validation oracle for solve_tradeoff; ties resolve to the first
     (smallest) grid point, matching the solver's tie rule, and a NaN
-    value wins as it does in ``numpy.argmax``.  The grid is walked in
-    blocks of ``ORACLE_BLOCK`` points, so memory is O(block), not O(n);
-    each block holds the same floats as that slice of
-    ``numpy.linspace(0, l_n, n)`` clipped to ``l_n``, and the result is
-    the same float as the full grid's argmax.  One working set, an index
-    base plus the block's grid and the kernel's two buffers, is allocated
-    per call and reused by every block.
+    value wins as it does in ``numpy.argmax``.  The grid holds the same
+    floats as ``numpy.linspace(0, l_n, n)`` clipped to ``l_n``, and the
+    result is the same float as that whole grid's argmax.  It uses no
+    root or bracket of the solver, only the model's surplus and bounds.
+
+    The grid is cut into sub-blocks of ``_SUB_BLOCK`` points.  One
+    ``net_surplus`` call evaluates their end points, grid points all, so
+    the largest of those values, the threshold, is one the grid attains.
+    ``model._surplus_bounds`` bounds the surplus over each sub-block from
+    its two end points, and a sub-block is skipped when its bound plus a
+    slack lies strictly below the threshold.  The kept ones are walked in
+    blocks of at most ``ORACLE_BLOCK`` points, one ``net_surplus`` call
+    each, keeping each block's first maximum and then the first block
+    holding the overall one.  One working set, an index base plus the
+    block's grid and the kernel's two buffers, is allocated per call and
+    reused by the end points and every block, so memory is O(block), not
+    O(n).
+
+    The slack is ``64 eps S``, with ``S = C + C alpha_n + (pi_s + k) l_n``
+    from ``_surplus_bounds``, the largest magnitude any term of a value
+    or a bound can have.  Values and bounds take their powers ``r^e =
+    exp(e log r)`` from the same rounded ratio ``r = x/l_n``.  numpy's
+    float64 ``log`` and ``exp`` err by under 4 ulp (libm's by under 1),
+    and ``exp`` turns the relative error of ``e log r`` into an absolute
+    one of at most ``|e log r| r^e <= 1/e`` times it, so a power is off
+    by under 6 eps; the products and sums after it add a few half-ulps
+    of ``S``.  A computed value or bound thus lies within ``8 eps S`` of
+    its exact counterpart, and two evaluations of one point differ by at
+    most twice that.  A point of a skipped sub-block then evaluates below
+    its exact bound plus ``8 eps S``, below the computed bound plus
+    ``16 eps S``, below the threshold less ``48 eps S``, and below the
+    walk's own value at the threshold's point less ``32 eps S``: strictly
+    below a value the walk sees, with a factor two to spare.  So skipping
+    moves neither the argmax nor its first-index ties.  The oracle walks
+    the whole grid instead when the step underflows to 0 (a subnormal
+    ``l_n``), when the threshold, a bound or the slack is not finite, or
+    when the slack is below the smallest normal float, where rounding
+    errs in absolute terms.
     """
     n = _grid_points("n", n, MAX_ORACLE_POINTS)
     import numpy as np
@@ -418,19 +480,28 @@ def oracle_grid_argmax(s: Scenario, n: int) -> float:
     size = min(n, ORACLE_BLOCK)
     base = np.arange(size, dtype=np.float64)
     work = np.empty((3, size))
+    spans = [(start, min(start + size, n)) for start in range(0, n, size)]
+    if step:
+        subs = -(-n // _SUB_BLOCK)
+        ends = np.multiply(base[: subs + 1], _SUB_BLOCK, out=work[0, : subs + 1])
+        ends[-1] = div  # the last grid point, not an index past it
+        _grid_losses(ends, s, step, div)[-1] = s.l_n
+        threshold = net_surplus(s, ends, out=work[1:, : subs + 1]).max()
+        bounds, scale = _surplus_bounds(s, ends)
+        slack = 64 * sys.float_info.epsilon * scale
+        if math.isfinite(threshold) and sys.float_info.min <= slack < math.inf and np.isfinite(bounds).all():
+            spans = []
+            for j in np.flatnonzero(bounds + slack >= threshold).tolist():
+                start = j * _SUB_BLOCK
+                stop = min(start + _SUB_BLOCK, n)
+                if spans and spans[-1][1] == start and stop - spans[-1][0] <= size:
+                    start = spans.pop()[0]  # join the block that ends here
+                spans.append((start, stop))
     points, values = [], []
-    for start in range(0, n, size):
-        m = min(size, n - start)
-        grid = np.add(base[:m], start, out=work[0, :m])
-        # numpy.linspace's two branches; the second keeps a subnormal l_n
-        if step:
-            grid *= step
-        else:
-            grid /= div
-            grid *= s.l_n
-        # a subnormal step can round up, which takes linspace's last points past l_n
-        np.minimum(grid, s.l_n, out=grid)
-        if start + m == n:
+    for start, stop in spans:
+        m = stop - start
+        grid = _grid_losses(np.add(base[:m], start, out=work[0, :m]), s, step, div)
+        if stop == n:
             grid[-1] = s.l_n
         block = net_surplus(s, grid, out=work[1:, :m])
         i = int(np.argmax(block))

@@ -178,7 +178,23 @@ def _exponents(draw) -> tuple:
 @st.composite
 def fuzz_scenarios(draw):
     """Scenarios over the solve-mix fuzz ranges, in all five regimes."""
-    nu, theta = _exponents(draw)
+    return _fuzz_scenario(draw, *_exponents(draw))
+
+
+@st.composite
+def boundary_scenarios(draw):
+    """Scenarios over the solve-mix fuzz ranges with ``nu`` within ``eps``
+    of a regime boundary, ``1`` or ``1 + theta``, on either side; ``eps``
+    is log-uniform in [2e-12, 1e-3], so it always exceeds ``REGIME_TOL``."""
+    theta = draw(st.floats(0.01, 0.99))
+    edge = draw(st.sampled_from([1.0, 1.0 + theta]))
+    eps = draw(_log_uniform(2e-12, 1e-3))
+    return _fuzz_scenario(draw, edge + draw(st.sampled_from([-eps, eps])), theta)
+
+
+def _fuzz_scenario(draw, nu: float, theta: float) -> Scenario:
+    """A scenario with these exponents and the other fields drawn over
+    the solve-mix fuzz ranges."""
     p_star = draw(_log_uniform(1e-3, 1e6))
     return Scenario(
         q_star=draw(_log_uniform(1e-3, 1e9)),

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import _oracle
 from _gradcheck import relative_gradient_error
-from conftest import _log_uniform, fuzz_scenarios, make_random_scenario
+from conftest import _log_uniform, boundary_scenarios, fuzz_scenarios, make_random_scenario, wide_scenarios
 from privopt import (
     DomainError,
     Scenario,
@@ -30,7 +32,7 @@ from privopt import (
     surplus_gradient,
     valid_demand_region,
 )
-from privopt.model import _gain, _repriced
+from privopt.model import _gain, _repriced, _surplus_bounds
 
 
 class TestScenarioValidation:
@@ -82,8 +84,20 @@ class TestScenarioValidation:
         assert s.margin() == 0.0
 
 
+def traced_bytes(make, count=10_000):
+    """Traced memory held by ``count`` results of ``make()``, after one
+    untraced call."""
+    make()
+    tracemalloc.start()
+    try:
+        kept = [make() for _ in range(count)]
+        return tracemalloc.get_traced_memory()[0], kept
+    finally:
+        tracemalloc.stop()
+
+
 class TestRepriced:
-    @given(s=fuzz_scenarios(), ratio=st.floats(0.0, 2.0))
+    @given(s=fuzz_scenarios() | wide_scenarios(), ratio=st.floats(0.0, 2.0))
     @example(s=Scenario(250, 1, 0.5, 0.138647, 0.138647, 0.2, 1e4, 1e-4, 1e-4), ratio=-0.0)
     @settings(max_examples=200, deadline=None)
     def test_equals_replace(self, s, ratio):
@@ -98,6 +112,49 @@ class TestRepriced:
             assert repr(got) == repr(want)
             assert math.copysign(1.0, got.price) == math.copysign(1.0, want.price)
         assert repr(s) == before
+
+    def test_copies_hold_no_more_than_built_scenarios(self, table2):
+        # each field is set by name, so a copy keeps its values inline, as
+        # Scenario(...) does, and builds no per-instance dict (which took
+        # 10,000 copies from about 1,800 to 2,400 KiB); 16 KiB absorbs
+        # the allocator's own noise
+        fields = dataclasses.asdict(table2)
+        built, _ = traced_bytes(lambda: Scenario(**fields))
+        copied, copies = traced_bytes(lambda: _repriced(table2, price=0.4))
+        assert copied <= built + 2**14
+        assert copies[0] == dataclasses.replace(table2, price=0.4)
+
+    def test_base_gains_no_dict(self, table2):
+        # reading vars(base) would give each base a dict of its own
+        bases = [Scenario(**dataclasses.asdict(table2)) for _ in range(10_000)]
+        tracemalloc.start()
+        try:
+            for base in bases:
+                _repriced(base, pi_s=0.0)
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert grown < 2**14
+
+
+class TestSurplusBounds:
+    @given(
+        s=fuzz_scenarios() | wide_scenarios() | boundary_scenarios(),
+        ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_sampled_value_lies_above_the_bound(self, s, ends):
+        # a quarter of the grid oracle's 64 eps slack covers the rounding
+        # of a value and of a bound; a single point's bound is its value
+        x0, x1 = (f * s.l_n for f in ends)
+        try:
+            (bound, point), scale = _surplus_bounds(s, np.array([x0, x1, x1]))
+        except DomainError:  # the surplus scale overflows
+            return
+        tol = 16 * sys.float_info.epsilon * scale
+        values = net_surplus(s, np.clip(np.linspace(x0, x1, 1001), x0, x1))
+        assert values.max() <= bound + tol, (s, x0, x1)
+        assert abs(point - net_surplus(s, x1)) <= tol
 
 
 class TestMarginalDemandFactor:

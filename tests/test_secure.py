@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 
 import _oracle
-from conftest import OVERFLOWING_EQ1, OVERFLOWING_OLR, TINY_RISK, fuzz_scenarios, make_random_scenario
+from conftest import (
+    OVERFLOWING_EQ1,
+    OVERFLOWING_OLR,
+    TINY_RISK,
+    boundary_scenarios,
+    fuzz_scenarios,
+    make_random_scenario,
+)
 from privopt import (
     ClosedFormInapplicableError,
     DomainError,
@@ -233,6 +240,18 @@ class TestSecureQuasiElasticities:
         )
         assert secure_optimal_loss(s)[0] == math.inf
         self.assert_matches_reference(s)
+
+    @given(s=boundary_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_finite_next_to_a_boundary(self, s):
+        # k = 1/(theta - nu + 1) grows as nu -> 1 + theta from below, and
+        # every value stays finite; above it the closed form does not apply
+        if s.nu > 1.0 + s.theta:
+            with pytest.raises(ClosedFormInapplicableError):
+                secure_quasi_elasticities(s)
+            return
+        qe = secure_quasi_elasticities(s)
+        assert all(map(math.isfinite, (qe.qeps_nu, qe.qeps_theta, qe.qeps_pi_c_star))), (s, qe)
 
     def test_overflowing_quasi_elasticity_rejected(self):
         # -k / pi_c* with a subnormal pi_c* lies beyond the float range

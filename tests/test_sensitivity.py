@@ -230,6 +230,21 @@ class TestPriceSweep:
             sweep(table2, grid)
         assert exc.value.field == "grid"
 
+    @pytest.mark.parametrize("sweep", [price_sweep, revenue_sweep, olr_sweep])
+    def test_order_is_checked_before_any_solve(self, table2, sweep, monkeypatch):
+        calls = 0
+
+        def counted(s):
+            nonlocal calls
+            calls += 1
+            return solve_tradeoff(s)
+
+        monkeypatch.setattr(privopt.sensitivity, "solve_tradeoff", counted)
+        with pytest.raises(ValidationError) as exc:
+            sweep(table2, [0.5, 0.4, 0.3])
+        assert calls == 0
+        assert (exc.value.field, str(exc.value)) == ("grid", "grid: must be strictly increasing")
+
     @pytest.mark.parametrize("sweep", [price_sweep, olr_sweep])
     def test_negative_zero_price_is_kept(self, table2, sweep):
         series = sweep(table2, (-0.0, 0.5))

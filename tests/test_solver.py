@@ -22,8 +22,10 @@ from conftest import (
     SUBNORMAL_CAP,
     TINY_OPTIMUM,
     TINY_RISK,
+    boundary_scenarios,
     fuzz_scenarios,
     make_random_scenario,
+    wide_scenarios,
 )
 from privopt import (
     DomainError,
@@ -535,7 +537,9 @@ class TestOracleGridArgmax:
         assert peak < 4 * 2**20
 
     def test_one_working_set_per_call(self, table2, monkeypatch):
-        # every block's grid and kernel buffers sit at the same addresses
+        # the sub-block end points and every block's grid and kernel
+        # buffers sit at the same addresses; the bounds skip most of the
+        # 31 blocks a full walk of this grid takes
         seen = []
 
         def recording(s, grid, *, out):
@@ -544,7 +548,53 @@ class TestOracleGridArgmax:
 
         monkeypatch.setattr(privopt.solver, "net_surplus", recording)
         oracle_grid_argmax(table2, 10**6)
-        assert len(seen) == 31 and len(set(seen)) == 1
+        assert len(seen) < 31 and len(set(seen)) == 1
+
+    @pytest.mark.parametrize(
+        "params, n, bounded",
+        [
+            # the step underflows to 0: no end points to bound
+            (SUBNORMAL_CAP, 200_001, False),
+            # C = 0 and (pi_s + k) l_n = 1e-303: the slack is subnormal
+            ({**SUBNORMAL_CAP, "price": 1.0, "l_n": 1e-300, "pi_c_star": 1e-3}, 100_001, True),
+            # C (1 + alpha_n) = 1e308 and (pi_s + k) l_n = 1.425e308: the slack is inf
+            ({**SUBNORMAL_CAP, "q_star": 1e308, "alpha_n": 1.0, "l_n": 1.5e308, "pi_s": 0.9}, 100_001, True),
+        ],
+        ids=["underflowing-step", "subnormal-slack", "infinite-slack"],
+    )
+    def test_fallback_walks_the_whole_grid(self, params, n, bounded, monkeypatch):
+        # after the end-point call, if the bounds got that far, every
+        # block of the full walk
+        s = Scenario(**params)
+        sizes = []
+
+        def recording(s, grid, *, out):
+            sizes.append(grid.size)
+            return net_surplus(s, grid, out=out)
+
+        monkeypatch.setattr(privopt.solver, "net_surplus", recording)
+        best = oracle_grid_argmax(s, n)
+        full, rest = divmod(n, ORACLE_BLOCK)
+        assert sizes[bounded:] == [ORACLE_BLOCK] * full + [rest]
+        assert best == _oracle.grid_argmax(s, n)
+
+    @given(
+        s=fuzz_scenarios() | wide_scenarios() | boundary_scenarios(),
+        n=st.sampled_from([2, 3, 32769, 10**6]),
+    )
+    @example(s=Scenario(**SUBNORMAL_CAP), n=10**6)
+    @example(s=SWAMPED_GAIN, n=10**6)
+    @settings(max_examples=100, deadline=None)
+    def test_bounded_walk_matches_the_full_grid(self, s, n):
+        # the skip rule never moves the argmax or its first-index ties,
+        # across the float range and next to the regime boundaries
+        try:
+            want = _oracle.grid_argmax(s, n)
+        except DomainError:  # the surplus scale overflows
+            with pytest.raises(DomainError, match="surplus scale"):
+                oracle_grid_argmax(s, n)
+            return
+        assert oracle_grid_argmax(s, n) == want
 
     @given(
         s=fuzz_scenarios(),
@@ -590,6 +640,15 @@ class TestOracleProperty:
     @example(s=SUBNORMAL_PEAK)
     @settings(max_examples=200, deadline=None)
     def test_no_checked_loss_beats_the_solver(self, s):
+        self.assert_solver_optimal(s)
+
+    @given(s=boundary_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_no_checked_loss_beats_the_solver_next_to_a_boundary(self, s):
+        self.assert_solver_optimal(s)
+
+    @staticmethod
+    def assert_solver_optimal(s):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             sol = solve_tradeoff(s)
@@ -650,6 +709,17 @@ class TestLogSpaceAccuracy:
     @example(s=UNDERFLOWING_OPTIMUM)
     @settings(max_examples=200, deadline=None)
     def test_roots_match_the_mpmath_log_root(self, s):
+        self.assert_roots_match(s)
+
+    @given(s=boundary_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_roots_match_the_mpmath_log_root_next_to_a_boundary(self, s):
+        # nu within 1e-3 of 1 or 1 + theta, never on it: the general
+        # formulas of the regime nu falls in, not a boundary's closed form
+        self.assert_roots_match(s)
+
+    @staticmethod
+    def assert_roots_match(s):
         # every INTERIOR l_opt is a located root, and every located root in
         # (0, l_n] lies within 1e-12 relative (plus the rounding floor) of
         # the 50-digit root of h that bisection in t finds next to it
