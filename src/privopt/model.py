@@ -21,9 +21,8 @@ arrives.  Each power is one ``exp`` of a sum of logs, so extreme
 exponents and parameters neither underflow nor overflow before the power
 itself does; the decision coefficients ``a`` and ``b`` exist only as
 logs (``_log_coefficients``).  The surplus kernel ``_gain`` takes one log
-of ``l/l_n`` for both of its powers and works an array in place, in two
-buffers: its own, or a pair the caller passes as ``out`` to reuse across
-calls.
+of ``l/l_n`` for both of its powers; its array terms come from
+``_terms``, which ``_surplus_bounds`` shares.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, UsageError, ValidationError
+from .errors import DomainError, ValidationError
 
 __all__ = [
     "Scenario",
@@ -254,7 +253,7 @@ def provider_revenue(s: Scenario, q2: float, alpha: float) -> float:
     The unit price implied by the curve is ``p_star * (1 - q2/((1+alpha)q_star))``.
     With ``alpha == 0`` this is the revenue on the base curve.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise DomainError("alpha must be >= 0")
     q_max = s.q_star * (1.0 + alpha)
     if not 0 <= q2 <= q_max:
@@ -272,7 +271,7 @@ def valid_demand_region(s: Scenario, q1: float, alpha: float) -> ConsumptionRegi
     """
     if not 0 < q1 < s.q_star:
         raise DomainError(f"q1 must lie strictly inside (0, {s.q_star})")
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError("alpha must be > 0")
     customer = q1 * math.sqrt(1.0 + alpha)
     x = q1 / s.q_star
@@ -296,9 +295,9 @@ def valid_demand_region(s: Scenario, q1: float, alpha: float) -> ConsumptionRegi
 
 def price_taker_demand(q1: float, alpha: float) -> float:
     """Demand ``q1 * (1 + alpha)`` of a customer keeping the posted price."""
-    if q1 < 0:
+    if not q1 >= 0:
         raise DomainError("q1 must be >= 0")
-    if alpha < 0:
+    if not alpha >= 0:
         raise DomainError("alpha must be >= 0")
     return float(q1 * (1.0 + alpha))
 
@@ -331,68 +330,61 @@ def _surplus_scale(s: Scenario) -> float:
     return c
 
 
-def _gain(s: Scenario, l, *, out=None):
+def _gain(s: Scenario, l):
     """Net surplus at ``l`` minus its value at ``l = 0``::
 
         C alpha_n (l/l_n)^nu - [pi_s + pi_c* (1 - pi_s) (l/l_n)^theta] l
 
     Exactly 0 at ``l == 0``.  Losses are ranked by their gain, because
     two surpluses can round to the same float, ``C`` swamping the
-    difference.  Array-compatible in ``l``.
+    difference.  Array-compatible in ``l``; an array's gain is
+    ``benefit - loss`` from ``_terms``.
 
     One log, ``lr = log(l/l_n)``, serves both powers: they are
     ``exp(nu lr)`` and ``exp(theta lr)``, the floats ``_ratio_power``
-    gives, and a zero ratio is ``lr = -inf``.  An array is worked in place
-    in two buffers, the ratio's and one more, never in the caller's ``l``;
-    each step rounds as in the expression above, so every value is the
-    same float.  The buffers are new arrays, or ``out``: a pair of writable
-    float64 arrays of ``l``'s shape that share no memory with ``l`` or
-    each other, the first of which is returned.  A float ``l`` ignores
-    ``out``.
+    gives, and a zero ratio is ``lr = -inf``.
     """
     l = _in_loss_range(s, l)
-    c = _surplus_scale(s)
-    k = s.pi_c_star * (1.0 - s.pi_s)
     if isinstance(l, float):
+        c = _surplus_scale(s)
         ratio = l / s.l_n
         lr = math.log(ratio) if ratio else -math.inf
         benefit = c * (s.alpha_n * math.exp(s.nu * lr))
-        return benefit - (s.pi_s + k * math.exp(s.theta * lr)) * l
+        return benefit - (s.pi_s + s.pi_c_star * (1.0 - s.pi_s) * math.exp(s.theta * lr)) * l
+    benefit, loss = _terms(s, l)
+    benefit -= loss
+    return benefit
+
+
+def _terms(s: Scenario, l) -> tuple:
+    """The two terms of ``_gain`` at a float64 array ``l`` in ``[0, l_n]``:
+    the benefit ``C alpha_n (l/l_n)^nu`` and the expected loss ``[pi_s +
+    pi_c* (1 - pi_s) (l/l_n)^theta] l``, as two new arrays.
+
+    Both powers come from one log of the ratio, worked in place in the
+    ratio's array and one more, never in ``l``; each step rounds as in
+    the expressions above, so ``_gain`` and ``_surplus_bounds`` see the
+    same floats.  DomainError where the surplus scale overflows.
+    """
     import numpy as np
 
-    lr, loss = (None, None) if out is None else _buffers(l, out)
-    lr = np.divide(l, s.l_n, out=lr)
+    c = _surplus_scale(s)
+    lr = l / s.l_n
     with np.errstate(divide="ignore"):
         np.log(lr, out=lr)
-    loss = np.multiply(lr, s.theta, out=loss)
+    loss = np.multiply(lr, s.theta)
     np.exp(loss, out=loss)
-    loss *= k
+    loss *= s.pi_c_star * (1.0 - s.pi_s)
     loss += s.pi_s
     loss *= l
     lr *= s.nu
-    gain = np.exp(lr, out=lr)
-    gain *= s.alpha_n
-    gain *= c
-    gain -= loss
-    return gain
+    benefit = np.exp(lr, out=lr)
+    benefit *= s.alpha_n
+    benefit *= c
+    return benefit, loss
 
 
-def _buffers(l, out) -> tuple:
-    """The pair ``out`` for ``_gain``'s array ``l``; UsageError unless both
-    are float64 arrays of ``l``'s shape and no two of the three overlap,
-    because the kernel reads ``l`` and its first buffer after writing."""
-    import numpy as np
-
-    a, b = out
-    for buf in (a, b):
-        if not isinstance(buf, np.ndarray) or buf.dtype != np.float64 or buf.shape != l.shape:
-            raise UsageError(f"out must be two float64 arrays of shape {l.shape}")
-    if np.may_share_memory(a, l) or np.may_share_memory(b, l) or np.may_share_memory(a, b):
-        raise UsageError("out must share no memory with l or between its two arrays")
-    return a, b
-
-
-def net_surplus(s: Scenario, l, *, out=None):
+def net_surplus(s: Scenario, l):
     """Net surplus at potential loss ``l``.
 
     Consumption surplus on the expanded demand curve minus the expected
@@ -404,20 +396,18 @@ def net_surplus(s: Scenario, l, *, out=None):
     where ``margin = max(0, 1 - price/p_star)``, evaluated as
     ``_surplus_scale + _gain``; DomainError where ``(p*q*/2) margin^2``
     overflows.  Array-compatible in ``l``; an array's ``C`` is added in
-    the gain's own buffer.  ``out`` is ``_gain``'s pair of working
-    buffers, for a caller that evaluates many arrays of one shape; the
-    result is then ``out[0]``.
+    the gain's own array.
     """
     c = _surplus_scale(s)
-    gain = _gain(s, l, out=out)
+    gain = _gain(s, l)
     gain += c
     return gain
 
 
 def _surplus_bounds(s: Scenario, ends) -> tuple:
-    """Upper bounds on the net surplus between consecutive points of
-    ``ends``, an increasing float64 array in ``[0, l_n]``, and the scale
-    of the surplus terms.
+    """The net surplus at ``ends``, an increasing float64 array in ``[0,
+    l_n]``, upper bounds on it between consecutive points, and the scale
+    of the surplus terms, from one ``_terms`` pass.
 
     Both terms of ``_gain`` rise with ``l`` (``nu, theta > 0``), so on
     ``[x0, x1]`` the net surplus is at most its benefit at ``x1`` less its
@@ -425,27 +415,18 @@ def _surplus_bounds(s: Scenario, ends) -> tuple:
 
         C + C alpha_n (x1/l_n)^nu - [pi_s + pi_c* (1 - pi_s) (x0/l_n)^theta] x0
 
-    with the powers ``_gain`` takes, from the same rounded ratios.
-    Returns the array of these bounds, one per interval, and ``C + C
+    Returns ``(values, bounds, scale)``: the floats ``net_surplus(s,
+    ends)`` gives, the array of bounds, one per interval, and ``C + C
     alpha_n + (pi_s + pi_c* (1 - pi_s)) l_n``, which no term of a surplus
     value or of a bound exceeds in magnitude.
     """
-    import numpy as np
-
     c = _surplus_scale(s)
-    k = s.pi_c_star * (1.0 - s.pi_s)
-    with np.errstate(divide="ignore"):
-        lr = np.log(ends / s.l_n)
-    bounds = np.exp(s.nu * lr[1:])
-    bounds *= s.alpha_n
-    bounds *= c
-    bounds += c
-    loss = np.exp(s.theta * lr[:-1])
-    loss *= k
-    loss += s.pi_s
-    loss *= ends[:-1]
-    bounds -= loss
-    return bounds, c + c * s.alpha_n + (s.pi_s + k) * s.l_n
+    benefit, loss = _terms(s, ends)
+    bounds = benefit[1:] + c
+    bounds -= loss[:-1]
+    benefit -= loss
+    benefit += c
+    return benefit, bounds, c + c * s.alpha_n + (s.pi_s + s.pi_c_star * (1.0 - s.pi_s)) * s.l_n
 
 
 def _log_product(*factors) -> float:

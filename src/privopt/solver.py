@@ -71,12 +71,14 @@ RTOL = 4 * sys.float_info.epsilon
 #: not its memory.
 MAX_ORACLE_POINTS = 10**7
 
-#: Most grid points the oracle evaluates per net_surplus call.  A call
-#: allocates one working set of four float64 arrays of 256 KiB, the index
-#: base, the grid and the kernel's two buffers, and every block reuses it.
-#: With that reuse, 2**15 was the fastest of 2**12 to 2**17 on a full walk
-#: of a 1e6-point grid, by min and by median, in each of three repeats.
-ORACLE_BLOCK = 1 << 15
+#: Most grid points the oracle evaluates per net_surplus call.  Each block
+#: allocates three float64 arrays of 64 KiB, its grid and the kernel's
+#: two, and drops them before the next.  Larger blocks walk faster in a
+#: fresh process (2**14 by ~15%), but where the heap keeps growing, as in
+#: the analysis benchmark, glibc gives their freed arrays back to the
+#: system and each call faults them in again: a 1e6-point call took 5, 63
+#: and 169 minor page faults on average at 2**13, 2**14 and 2**15.
+ORACLE_BLOCK = 1 << 13
 
 #: Grid points per sub-block of the oracle's bounded walk: the oracle
 #: skips a whole sub-block when a bound proves it holds no maximum.
@@ -439,17 +441,15 @@ def oracle_grid_argmax(s: Scenario, n: int) -> float:
     root or bracket of the solver, only the model's surplus and bounds.
 
     The grid is cut into sub-blocks of ``_SUB_BLOCK`` points.  One
-    ``net_surplus`` call evaluates their end points, grid points all, so
-    the largest of those values, the threshold, is one the grid attains.
-    ``model._surplus_bounds`` bounds the surplus over each sub-block from
-    its two end points, and a sub-block is skipped when its bound plus a
-    slack lies strictly below the threshold.  The kept ones are walked in
-    blocks of at most ``ORACLE_BLOCK`` points, one ``net_surplus`` call
-    each, keeping each block's first maximum and then the first block
-    holding the overall one.  One working set, an index base plus the
-    block's grid and the kernel's two buffers, is allocated per call and
-    reused by the end points and every block, so memory is O(block), not
-    O(n).
+    ``model._surplus_bounds`` call evaluates the surplus at their end
+    points, grid points all, so the largest of those values, the
+    threshold, is one the grid attains; from the same terms it bounds the
+    surplus over each sub-block, and a sub-block is skipped when its bound
+    plus a slack lies strictly below the threshold.  The kept ones are
+    walked in blocks of at most ``ORACLE_BLOCK`` points, one
+    ``net_surplus`` call each on the block's grid, keeping each block's
+    first maximum and then the first block holding the overall one.  So
+    memory is O(block), not O(n).
 
     The slack is ``64 eps S``, with ``S = C + C alpha_n + (pi_s + k) l_n``
     from ``_surplus_bounds``, the largest magnitude any term of a value
@@ -477,33 +477,29 @@ def oracle_grid_argmax(s: Scenario, n: int) -> float:
 
     div = n - 1
     step = s.l_n / div
-    size = min(n, ORACLE_BLOCK)
-    base = np.arange(size, dtype=np.float64)
-    work = np.empty((3, size))
-    spans = [(start, min(start + size, n)) for start in range(0, n, size)]
+    spans = [(start, min(start + ORACLE_BLOCK, n)) for start in range(0, n, ORACLE_BLOCK)]
     if step:
         subs = -(-n // _SUB_BLOCK)
-        ends = np.multiply(base[: subs + 1], _SUB_BLOCK, out=work[0, : subs + 1])
+        ends = np.arange(subs + 1, dtype=np.float64) * _SUB_BLOCK
         ends[-1] = div  # the last grid point, not an index past it
         _grid_losses(ends, s, step, div)[-1] = s.l_n
-        threshold = net_surplus(s, ends, out=work[1:, : subs + 1]).max()
-        bounds, scale = _surplus_bounds(s, ends)
+        at_ends, bounds, scale = _surplus_bounds(s, ends)
+        threshold = at_ends.max()
         slack = 64 * sys.float_info.epsilon * scale
         if math.isfinite(threshold) and sys.float_info.min <= slack < math.inf and np.isfinite(bounds).all():
             spans = []
             for j in np.flatnonzero(bounds + slack >= threshold).tolist():
                 start = j * _SUB_BLOCK
                 stop = min(start + _SUB_BLOCK, n)
-                if spans and spans[-1][1] == start and stop - spans[-1][0] <= size:
+                if spans and spans[-1][1] == start and stop - spans[-1][0] <= ORACLE_BLOCK:
                     start = spans.pop()[0]  # join the block that ends here
                 spans.append((start, stop))
     points, values = [], []
     for start, stop in spans:
-        m = stop - start
-        grid = _grid_losses(np.add(base[:m], start, out=work[0, :m]), s, step, div)
+        grid = _grid_losses(np.arange(start, stop, dtype=np.float64), s, step, div)
         if stop == n:
             grid[-1] = s.l_n
-        block = net_surplus(s, grid, out=work[1:, :m])
+        block = net_surplus(s, grid)
         i = int(np.argmax(block))
         points.append(grid[i])
         values.append(block[i])

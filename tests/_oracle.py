@@ -147,7 +147,9 @@ def log_slope(s, t):
 
 def grid_argmax(s, n):
     """Argmax of the package's ``net_surplus`` over the whole
-    ``numpy.linspace(0, l_n, n)`` grid at once: the reference the blocked
-    ``oracle_grid_argmax`` must equal bit for bit."""
-    grid = np.linspace(0.0, s.l_n, int(n))
+    ``numpy.linspace(0, l_n, n)`` grid at once, clipped to ``l_n``: the
+    reference the blocked ``oracle_grid_argmax`` must equal bit for bit.
+    A subnormal step can round up and take linspace's last points past
+    ``l_n``."""
+    grid = np.minimum(np.linspace(0.0, s.l_n, int(n)), s.l_n)
     return float(grid[int(np.argmax(privopt.net_surplus(s, grid)))])

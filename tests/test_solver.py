@@ -43,7 +43,7 @@ from privopt import (
     solve_tradeoff,
     surplus_gradient,
 )
-from privopt.model import _decision_equation, _log_coefficients
+from privopt.model import _decision_equation, _log_coefficients, _surplus_bounds
 from privopt.solver import MAX_ORACLE_POINTS, ORACLE_BLOCK, RTOL, XTOL, brentq
 
 # nu between 1 and 1+theta: gradient peaks, two stationary points, interior max
@@ -488,10 +488,9 @@ class TestOracleGridArgmax:
         # l_n / (n - 1) rounds up to the smallest subnormal, so linspace's
         # last points pass l_n; the oracle clips them to l_n
         s = Scenario(**SUBNORMAL_CAP)
-        grid = np.minimum(np.linspace(0.0, s.l_n, n), s.l_n)
         best = oracle_grid_argmax(s, n)
         assert 0.0 <= best <= s.l_n
-        assert best == grid[int(np.argmax(net_surplus(s, grid)))]
+        assert best == _oracle.grid_argmax(s, n)
 
     def test_needs_two_points(self, table2):
         with pytest.raises(ValidationError):
@@ -526,29 +525,32 @@ class TestOracleGridArgmax:
             assert sol.surplus >= net_surplus(s, grid_best) - 1e-9 * max(1.0, abs(sol.surplus))
 
     def test_memory_is_one_block(self, table2):
-        # the full 1e6-point grid and its temporaries traced about 38 MiB
+        # the full 1e6-point grid and its temporaries traced about 38 MiB;
+        # the bounded walk and the full walk of a subnormal l_n, whose step
+        # underflows, both allocate block by block
         oracle_grid_argmax(table2, 1000)  # numpy's own first-use allocations
-        tracemalloc.start()
-        try:
-            oracle_grid_argmax(table2, 10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        for s in (table2, Scenario(**SUBNORMAL_CAP)):
+            tracemalloc.start()
+            try:
+                oracle_grid_argmax(s, 10**6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, s
 
     def test_one_working_set_per_call(self, table2, monkeypatch):
-        # the sub-block end points and every block's grid and kernel
-        # buffers sit at the same addresses; the bounds skip most of the
-        # 31 blocks a full walk of this grid takes
-        seen = []
+        # each net_surplus call evaluates one block of at most ORACLE_BLOCK
+        # points; the bounds skip most of the blocks a full walk of this
+        # grid takes
+        sizes = []
 
-        def recording(s, grid, *, out):
-            seen.append((grid.ctypes.data, *(buf.ctypes.data for buf in out)))
-            return net_surplus(s, grid, out=out)
+        def recording(s, grid):
+            sizes.append(grid.size)
+            return net_surplus(s, grid)
 
         monkeypatch.setattr(privopt.solver, "net_surplus", recording)
         oracle_grid_argmax(table2, 10**6)
-        assert len(seen) < 31 and len(set(seen)) == 1
+        assert 0 < len(sizes) < -(-(10**6) // ORACLE_BLOCK) and max(sizes) <= ORACLE_BLOCK
 
     @pytest.mark.parametrize(
         "params, n, bounded",
@@ -563,19 +565,25 @@ class TestOracleGridArgmax:
         ids=["underflowing-step", "subnormal-slack", "infinite-slack"],
     )
     def test_fallback_walks_the_whole_grid(self, params, n, bounded, monkeypatch):
-        # after the end-point call, if the bounds got that far, every
-        # block of the full walk
+        # every block of the full walk, whether or not the bounds were
+        # computed (``bounded``) before the oracle gave them up
         s = Scenario(**params)
-        sizes = []
+        sizes, bounds_calls = [], []
 
-        def recording(s, grid, *, out):
+        def recording(s, grid):
             sizes.append(grid.size)
-            return net_surplus(s, grid, out=out)
+            return net_surplus(s, grid)
+
+        def counting(s, ends):
+            bounds_calls.append(ends.size)
+            return _surplus_bounds(s, ends)
 
         monkeypatch.setattr(privopt.solver, "net_surplus", recording)
+        monkeypatch.setattr(privopt.solver, "_surplus_bounds", counting)
         best = oracle_grid_argmax(s, n)
         full, rest = divmod(n, ORACLE_BLOCK)
-        assert sizes[bounded:] == [ORACLE_BLOCK] * full + [rest]
+        assert len(bounds_calls) == bounded
+        assert sizes == [ORACLE_BLOCK] * full + [rest]
         assert best == _oracle.grid_argmax(s, n)
 
     @given(
@@ -583,6 +591,7 @@ class TestOracleGridArgmax:
         n=st.sampled_from([2, 3, 32769, 10**6]),
     )
     @example(s=Scenario(**SUBNORMAL_CAP), n=10**6)
+    @example(s=Scenario(**SUBNORMAL_CAP), n=32769)
     @example(s=SWAMPED_GAIN, n=10**6)
     @settings(max_examples=100, deadline=None)
     def test_bounded_walk_matches_the_full_grid(self, s, n):
