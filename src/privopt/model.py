@@ -188,8 +188,9 @@ def _repriced(s: Scenario, **changes: float) -> Scenario:
     the ``replace`` result, for a fraction of its cost.
     """
     s2 = object.__new__(type(s))
+    setattr_ = object.__setattr__  # one lookup per copy, not one per field
     for name in _FIELDS:
-        object.__setattr__(s2, name, changes[name] if name in changes else getattr(s, name))
+        setattr_(s2, name, changes[name] if name in changes else getattr(s, name))
     return s2
 
 
@@ -330,7 +331,7 @@ def _surplus_scale(s: Scenario) -> float:
     return c
 
 
-def _gain(s: Scenario, l):
+def _gain(s: Scenario, l, c: float | None = None):
     """Net surplus at ``l`` minus its value at ``l = 0``::
 
         C alpha_n (l/l_n)^nu - [pi_s + pi_c* (1 - pi_s) (l/l_n)^theta] l
@@ -338,37 +339,37 @@ def _gain(s: Scenario, l):
     Exactly 0 at ``l == 0``.  Losses are ranked by their gain, because
     two surpluses can round to the same float, ``C`` swamping the
     difference.  Array-compatible in ``l``; an array's gain is
-    ``benefit - loss`` from ``_terms``.
+    ``benefit - loss`` from ``_terms``.  ``c`` is ``_surplus_scale(s)``.
 
     One log, ``lr = log(l/l_n)``, serves both powers: they are
     ``exp(nu lr)`` and ``exp(theta lr)``, the floats ``_ratio_power``
     gives, and a zero ratio is ``lr = -inf``.
     """
     l = _in_loss_range(s, l)
-    if isinstance(l, float):
+    if c is None:
         c = _surplus_scale(s)
+    if isinstance(l, float):
         ratio = l / s.l_n
         lr = math.log(ratio) if ratio else -math.inf
         benefit = c * (s.alpha_n * math.exp(s.nu * lr))
         return benefit - (s.pi_s + s.pi_c_star * (1.0 - s.pi_s) * math.exp(s.theta * lr)) * l
-    benefit, loss = _terms(s, l)
+    benefit, loss = _terms(s, l, c)
     benefit -= loss
     return benefit
 
 
-def _terms(s: Scenario, l) -> tuple:
+def _terms(s: Scenario, l, c: float) -> tuple:
     """The two terms of ``_gain`` at a float64 array ``l`` in ``[0, l_n]``:
-    the benefit ``C alpha_n (l/l_n)^nu`` and the expected loss ``[pi_s +
+    the benefit ``c alpha_n (l/l_n)^nu`` and the expected loss ``[pi_s +
     pi_c* (1 - pi_s) (l/l_n)^theta] l``, as two new arrays.
 
     Both powers come from one log of the ratio, worked in place in the
     ratio's array and one more, never in ``l``; each step rounds as in
     the expressions above, so ``_gain`` and ``_surplus_bounds`` see the
-    same floats.  DomainError where the surplus scale overflows.
+    same floats.
     """
     import numpy as np
 
-    c = _surplus_scale(s)
     lr = l / s.l_n
     with np.errstate(divide="ignore"):
         np.log(lr, out=lr)
@@ -399,7 +400,7 @@ def net_surplus(s: Scenario, l):
     the gain's own array.
     """
     c = _surplus_scale(s)
-    gain = _gain(s, l)
+    gain = _gain(s, l, c)
     gain += c
     return gain
 
@@ -421,7 +422,7 @@ def _surplus_bounds(s: Scenario, ends) -> tuple:
     value or of a bound exceeds in magnitude.
     """
     c = _surplus_scale(s)
-    benefit, loss = _terms(s, ends)
+    benefit, loss = _terms(s, ends, c)
     bounds = benefit[1:] + c
     bounds -= loss[:-1]
     benefit -= loss
@@ -477,7 +478,13 @@ def _decision_equation(s: Scenario) -> tuple:
     la, lb, lr = _log_coefficients(s)
     lp = math.log(s.pi_s) if s.pi_s > 0.0 else -math.inf
     nu1, theta = s.nu - 1.0, s.theta
-    return (lambda t: la + nu1 * t - _logaddexp(lp, lb + theta * t)), la, lb, lp, lr
+    exp, log1p = math.exp, math.log1p
+
+    def h(t):  # _logaddexp(lp, lb + theta t) inline: a root search calls h ~7 times
+        x = lb + theta * t
+        hi, lo = (lp, x) if lp > x else (x, lp)
+        return la + nu1 * t - (hi + log1p(exp(lo - hi)))
+    return h, la, lb, lp, lr
 
 
 def surplus_gradient(s: Scenario, l):

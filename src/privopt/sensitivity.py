@@ -17,7 +17,8 @@ the scenario on a price grid; each grid point is an independent pure
 solve, so evaluation order never changes the output.  A sweep checks its
 whole grid once, then re-prices the scenario for each point by copying
 its validated fields (no per-point validation) and solves each copy
-once; the OLR sweep reuses those copies for its secure-provider column.
+once, through ``solver._optimum``; the OLR sweep reuses those copies for
+its secure-provider column.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from enum import Enum
 from .errors import DomainError, UsageError, ValidationError
 from .model import Scenario, _cap_risk, _repriced, demand_quantity, marginal_demand_factor
 from .secure import secure_feasible_loss
-from .solver import Regime, SolutionStatus, _grid_points, classify_regime, solve_tradeoff
+from .solver import Regime, SolutionStatus, _grid_points, _optimum, classify_regime, solve_tradeoff
 
 __all__ = [
     "SensitivityKind",
@@ -239,8 +240,7 @@ def _solve_grid(s: Scenario, grid, sat: float | None = None) -> tuple:
     The grid is checked once, before any solve: every price becomes a
     float with ``0 <= p < p_star``, a comparison that NaN fails too, and
     the prices must increase strictly.  Each point's scenario is ``s``
-    re-priced by ``model._repriced`` and costs one ``solve_tradeoff``
-    call.
+    re-priced by ``model._repriced`` and costs one ``_optimum`` call.
     """
     grid = tuple(float(p) for p in grid)
     p_star = s.p_star
@@ -250,10 +250,10 @@ def _solve_grid(s: Scenario, grid, sat: float | None = None) -> tuple:
     scenarios = tuple(_repriced(s, price=p) for p in grid)
     l_opt, revenue, statuses = [], [], []
     for s2 in scenarios:
-        sol = solve_tradeoff(s2)
-        l_opt.append(sol.l_opt)
-        statuses.append(sol.status)
-        revenue.append(_revenue_at(s2, sol.l_opt))
+        l, status = _optimum(s2)
+        l_opt.append(l)
+        statuses.append(status)
+        revenue.append(_revenue_at(s2, l))
     series = SweepSeries(
         factor="price",
         grid=grid,

@@ -40,6 +40,7 @@ from .model import (
     _gain,
     _logaddexp,
     _surplus_bounds,
+    _surplus_scale,
     net_surplus,
 )
 
@@ -282,31 +283,10 @@ def _status_for(l_opt: float, l_n: float) -> SolutionStatus:
     return SolutionStatus.INTERIOR
 
 
-def solve_tradeoff(s: Scenario) -> TradeoffSolution:
-    """Feasible optimum of the disclosure trade-off for one scenario.
-
-    Finds the roots of ``h`` (module docstring) in ``t = log l``:
-
-    * ``nu < 1``: ``h`` falls monotonically; its root lies between the
-      crossing ``t_u`` of the two power terms and the point ``t_l`` where
-      ``a*l**(nu-1) = a*l_u**(nu-1) + pi_s``.  A root at or past ``l_n``
-      clamps the solution there.
-    * ``nu == 1``: closed form ``((a - pi_s)/b)**(1/theta)`` when
-      ``a > pi_s``, else the surplus only decreases and 0 is optimal.
-    * ``1 < nu < 1 + theta``: ``h`` rises to a peak, then falls; when the
-      peak is positive, a surplus minimum lies left of it and a maximum
-      right of it, and the surplus is compared at every candidate
-      including the endpoints.
-    * ``nu > 1 + theta`` (and the boundary ``nu == 1 + theta``): ``h``
-      rises, so the surplus has at most an interior minimum and only the
-      endpoints compete.
-
-    With ``pi_s == 0`` the only root outside ``nu == 1`` is the crossing
-    ``t_u``, which is also the secure closed form.  The optimum is the
-    candidate with the largest gain over ``l = 0`` (``model._gain``),
-    ties going to the smaller loss; its status follows from where it
-    sits, and its ``surplus`` is ``net_surplus`` there.
-    """
+def _search(s: Scenario) -> tuple:
+    """``(l_opt, regime, roots, bracket)``, roots and bracket in ``t``.  Where
+    the cap test ``h(log l_n) >= 0`` puts a ``nu < 1`` optimum at ``l_n``,
+    ``roots`` is the root search not yet run, for ``solve_tradeoff``."""
     regime = classify_regime(s)
     roots, bracket = (), None
     if s.margin() == 0.0:
@@ -346,9 +326,12 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
             else:
                 # h >= 1 left of t_l - 1/(1-nu) and h <= -1 right of t_u + 1/d
                 t_l = _logaddexp(nu1 * t_u, lp - la) / nu1
-                roots = (brentq(h, t_l + 1.0 / nu1, t_u + 1.0 / d),)
+                search = lambda: (brentq(h, t_l + 1.0 / nu1, t_u + 1.0 / d),)  # noqa: E731
+                if h(math.log(s.l_n)) >= 0.0:
+                    return s.l_n, regime, search, (t_l, t_u)  # the surplus still rises at l_n
+                roots = search()
             if regime is Regime.NU_LT_1:
-                bracket = (_exp(t_l), _exp(t_u))
+                bracket = (t_l, t_u)
         if regime in (Regime.SUBCASE_B, Regime.NU_EQ_1_PLUS_THETA):
             candidates = (0.0, s.l_n)  # the stationary point is a minimum
         else:
@@ -363,6 +346,46 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
         # max keeps the first of equal gains, so ties go to the smaller
         # loss; the gain at 0 is 0 exactly and needs no evaluation
         l_opt = max(ranked, key=lambda l: _gain(s, l) if l else 0.0)
+    return l_opt, regime, roots, bracket
+
+
+def _optimum(s: Scenario) -> tuple:
+    """``(l_opt, status)`` of ``solve_tradeoff(s)``, with the same errors
+    (the surplus scale's included), for the sweeps: nothing else is built."""
+    l_opt = _search(s)[0]
+    _surplus_scale(s)  # the overflow check of solve_tradeoff's closing net_surplus
+    return l_opt, _status_for(l_opt, s.l_n)
+
+
+def solve_tradeoff(s: Scenario) -> TradeoffSolution:
+    """Feasible optimum of the disclosure trade-off for one scenario.
+
+    Finds the roots of ``h`` (module docstring) in ``t = log l``:
+
+    * ``nu < 1``: ``h`` falls monotonically; its root lies between the
+      crossing ``t_u`` of the two power terms and the point ``t_l`` where
+      ``a*l**(nu-1) = a*l_u**(nu-1) + pi_s``.  A root at or past ``l_n``
+      clamps the solution there, which ``h(log l_n) >= 0`` settles first.
+    * ``nu == 1``: closed form ``((a - pi_s)/b)**(1/theta)`` when
+      ``a > pi_s``, else the surplus only decreases and 0 is optimal.
+    * ``1 < nu < 1 + theta``: ``h`` rises to a peak, then falls; when the
+      peak is positive, a surplus minimum lies left of it and a maximum
+      right of it, and the surplus is compared at every candidate
+      including the endpoints.
+    * ``nu > 1 + theta`` (and the boundary ``nu == 1 + theta``): ``h``
+      rises, so the surplus has at most an interior minimum and only the
+      endpoints compete.
+
+    With ``pi_s == 0`` the only root outside ``nu == 1`` is the crossing
+    ``t_u``, which is also the secure closed form.  The optimum is the
+    candidate with the largest gain over ``l = 0`` (``model._gain``),
+    ties going to the smaller loss; its status follows from where it
+    sits, and its ``surplus`` is ``net_surplus`` there.  A sweep point's
+    ``_optimum`` runs the same search, so the two always agree.
+    """
+    l_opt, regime, roots, bracket = _search(s)
+    roots = roots() if callable(roots) else roots  # reported even when the cap test settled l_opt
+    bracket = tuple(map(_exp, bracket or ()))
     return TradeoffSolution(
         l_opt=l_opt,
         status=_status_for(l_opt, s.l_n),

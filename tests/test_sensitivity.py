@@ -9,7 +9,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import privopt.sensitivity
-from conftest import OVERFLOWING_OLR, SUBNORMAL_OPTIMUM, UNDERFLOWING_SATURATION, fuzz_scenarios
+from conftest import (
+    OVERFLOWING_OLR,
+    SUBNORMAL_OPTIMUM,
+    UNDERFLOWING_SATURATION,
+    boundary_scenarios,
+    fuzz_scenarios,
+    wide_scenarios,
+)
 from privopt import (
     DomainError,
     Scenario,
@@ -232,14 +239,15 @@ class TestPriceSweep:
 
     @pytest.mark.parametrize("sweep", [price_sweep, revenue_sweep, olr_sweep])
     def test_order_is_checked_before_any_solve(self, table2, sweep, monkeypatch):
-        calls = 0
+        calls, optimum = 0, privopt.sensitivity._optimum
 
         def counted(s):
             nonlocal calls
             calls += 1
-            return solve_tradeoff(s)
+            return optimum(s)
 
-        monkeypatch.setattr(privopt.sensitivity, "solve_tradeoff", counted)
+        # the sweeps solve each point through _optimum
+        monkeypatch.setattr(privopt.sensitivity, "_optimum", counted)
         with pytest.raises(ValidationError) as exc:
             sweep(table2, [0.5, 0.4, 0.3])
         assert calls == 0
@@ -382,7 +390,10 @@ class TestSweepMatchesReferenceLoop:
         assert repr(price_sweep(s, grid)) == repr(reference_price_sweep(s, grid))
         assert repr(olr_sweep(s, grid)) == repr(reference_olr_sweep(s, grid))
 
-    @given(s=paper_scenarios() | fuzz_scenarios(), points=st.integers(2, 40))
+    @given(
+        s=paper_scenarios() | fuzz_scenarios() | wide_scenarios() | boundary_scenarios(),
+        points=st.integers(2, 40),
+    )
     @settings(max_examples=60, deadline=None)
     def test_random_scenarios(self, s, points):
         grid = default_price_grid(s, points=points)
@@ -398,7 +409,8 @@ class TestSweepMatchesReferenceLoop:
                 return f(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(privopt.sensitivity, "solve_tradeoff", counted("solve", solve_tradeoff))
+        # the sweeps solve each point through _optimum
+        monkeypatch.setattr(privopt.sensitivity, "_optimum", counted("solve", privopt.sensitivity._optimum))
         monkeypatch.setattr(
             privopt.sensitivity, "secure_feasible_loss", counted("secure", secure_feasible_loss)
         )

@@ -5,6 +5,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -39,12 +40,13 @@ from privopt import (
     net_surplus,
     normalized_gradient,
     oracle_grid_argmax,
+    saturation_price,
     solve_discrete,
     solve_tradeoff,
     surplus_gradient,
 )
 from privopt.model import _decision_equation, _log_coefficients, _surplus_bounds
-from privopt.solver import MAX_ORACLE_POINTS, ORACLE_BLOCK, RTOL, XTOL, brentq
+from privopt.solver import MAX_ORACLE_POINTS, ORACLE_BLOCK, RTOL, XTOL, _optimum, brentq
 
 # nu between 1 and 1+theta: gradient peaks, two stationary points, interior max
 SUBCASE_A_INTERIOR = Scenario(
@@ -335,6 +337,45 @@ class TestSolveMonotoneRegime:
             sol = solve_tradeoff(s)
             assert sol.l_opt == 0.0
             assert sol.status is SolutionStatus.AT_ZERO
+
+
+def settled_by_the_cap_test(s) -> bool:
+    """Whether ``_optimum`` returned ``s``'s optimum without the root
+    search a ``nu < 1``, ``pi_s > 0`` scenario with demand would run; if
+    so, check that early return."""
+    with mock.patch.object(privopt.solver, "brentq", wraps=brentq) as root:
+        try:
+            l_opt, status = _optimum(s)
+        except (DomainError, NumericError):
+            return False
+    searched = classify_regime(s) is Regime.NU_LT_1 and s.pi_s > 0.0 and s.margin() > 0.0
+    if not searched or root.called:
+        return False
+    assert (l_opt, status) == (s.l_n, SolutionStatus.CLAMPED_AT_LN)
+    # the cap test's only license: the surplus still rises at l_n
+    assert normalized_gradient(s, s.l_n) >= 0.0
+    sol = solve_tradeoff(s)
+    assert (sol.l_opt, sol.status) == (l_opt, status)
+    return True
+
+
+class TestCapTest:
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    def test_prices_next_to_saturation(self, name, request):
+        # h(log l_n) is about -2 (p - p_sat) / (p* - p_sat) just above the
+        # saturation price, so these points straddle h = 0 within 1e-3
+        s = request.getfixturevalue(name)
+        p_sat = saturation_price(s)
+        early = [
+            settled_by_the_cap_test(dataclasses.replace(s, price=p_sat * (1.0 + k * 1e-5)))
+            for k in range(-20, 21)
+        ]
+        assert early[0] and not early[-1]
+
+    @given(s=fuzz_scenarios() | boundary_scenarios() | wide_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_early_returns_have_a_nonnegative_gradient(self, s):
+        settled_by_the_cap_test(s)
 
 
 class TestSolveNuEq1:
