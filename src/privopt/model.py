@@ -176,7 +176,12 @@ class Scenario:
 
     def margin(self) -> float:
         """Relative price margin ``1 - price/p_star`` clamped at 0."""
-        return max(0.0, 1.0 - self.price / self.p_star)
+        return _margin(self, self.price)
+
+
+def _margin(s: Scenario, price: float) -> float:
+    """``s.margin()`` at ``price``: a sweep needs no re-priced copy."""
+    return max(0.0, 1.0 - price / s.p_star)
 
 
 def _repriced(s: Scenario, **changes: float) -> Scenario:
@@ -315,16 +320,15 @@ def pareto_privacy_parameter(benefit_fraction: float, loss_fraction: float) -> f
     return math.log(benefit_fraction) / math.log(loss_fraction)
 
 
-def _surplus_scale(s: Scenario) -> float:
+def _surplus_scale(s: Scenario, m: float) -> float:
     """Net surplus at ``l = 0``, ``C = (p*q*/2) margin**2``, evaluated as
-    ``(0.5 p* margin)(q* margin)``.
+    ``(0.5 p* margin)(q* margin)`` at the margin ``m``.
 
     DomainError where ``C (1 + alpha_n)`` overflows: the surplus on
     ``[0, l_n]`` lies below it and the benefit term ``C alpha_n
     (l/l_n)^nu`` below ``C alpha_n``, so no value of ``_gain`` or
     ``net_surplus`` overflows once it passes.
     """
-    m = s.margin()
     c = (0.5 * s.p_star * m) * (s.q_star * m)
     if c * (1.0 + s.alpha_n) == math.inf:
         raise DomainError("surplus scale (p*q*/2) margin^2 (1 + alpha_n) overflows the float range")
@@ -339,7 +343,8 @@ def _gain(s: Scenario, l, c: float | None = None):
     Exactly 0 at ``l == 0``.  Losses are ranked by their gain, because
     two surpluses can round to the same float, ``C`` swamping the
     difference.  Array-compatible in ``l``; an array's gain is
-    ``benefit - loss`` from ``_terms``.  ``c`` is ``_surplus_scale(s)``.
+    ``benefit - loss`` from ``_terms``.  ``c`` is the surplus scale, by
+    default ``s``'s own: no other term reads the price.
 
     One log, ``lr = log(l/l_n)``, serves both powers: they are
     ``exp(nu lr)`` and ``exp(theta lr)``, the floats ``_ratio_power``
@@ -347,7 +352,7 @@ def _gain(s: Scenario, l, c: float | None = None):
     """
     l = _in_loss_range(s, l)
     if c is None:
-        c = _surplus_scale(s)
+        c = _surplus_scale(s, s.margin())
     if isinstance(l, float):
         ratio = l / s.l_n
         lr = math.log(ratio) if ratio else -math.inf
@@ -399,7 +404,7 @@ def net_surplus(s: Scenario, l):
     overflows.  Array-compatible in ``l``; an array's ``C`` is added in
     the gain's own array.
     """
-    c = _surplus_scale(s)
+    c = _surplus_scale(s, s.margin())
     gain = _gain(s, l, c)
     gain += c
     return gain
@@ -421,7 +426,7 @@ def _surplus_bounds(s: Scenario, ends) -> tuple:
     alpha_n + (pi_s + pi_c* (1 - pi_s)) l_n``, which no term of a surplus
     value or of a bound exceeds in magnitude.
     """
-    c = _surplus_scale(s)
+    c = _surplus_scale(s, s.margin())
     benefit, loss = _terms(s, ends, c)
     bounds = benefit[1:] + c
     bounds -= loss[:-1]
@@ -437,9 +442,22 @@ def _log_product(*factors) -> float:
     return math.log(p) if 0.0 < p < math.inf else math.fsum(map(math.log, factors))
 
 
-def _log_coefficients(s: Scenario) -> tuple:
+def _log_parts(s: Scenario) -> tuple:
+    """The price-free logs ``(log_k, log l_n, lb, lr - log m^2, lp)`` that
+    ``_log_coefficients`` completes at a margin ``m``, with ``k = (q* p* nu
+    / 2) alpha_n`` and ``lp = log pi_s``; they raise nothing."""
+    log_k = _log_product(0.5, s.q_star, s.p_star, s.nu, s.alpha_n)
+    log_c = math.log(s.pi_c_star * (s.theta + 1.0))
+    log_ln = math.log(s.l_n)
+    lb = log_c - s.theta * log_ln + math.log1p(-s.pi_s)
+    lp = math.log(s.pi_s) if s.pi_s > 0.0 else -math.inf
+    return log_k, log_ln, lb, log_k - log_c + (s.theta - s.nu) * log_ln, lp
+
+
+def _log_coefficients(s: Scenario, parts: tuple | None = None, m: float | None = None) -> tuple:
     """Logs ``(la, lb, lr)`` of the decision coefficients ``a`` and ``b``
-    and of ``a/b`` for a breach-proof provider (``pi_s = 0``).
+    and of ``a/b`` for a breach-proof provider (``pi_s = 0``), at the
+    margin ``m`` from ``parts = _log_parts(s)``; by default at ``s``'s own.
 
     They come from the logs of the parameters, so they stay finite where
     ``a`` or ``b`` itself would under- or overflow.  ``lr / (theta - nu +
@@ -447,14 +465,10 @@ def _log_coefficients(s: Scenario) -> tuple:
     secure closed-form optimum.  ``la`` and ``lr`` are ``-inf`` when the
     price kills the demand (``price >= p_star``).
     """
-    log_k = _log_product(0.5, s.q_star, s.p_star, s.nu, s.alpha_n)
-    log_c = math.log(s.pi_c_star * (s.theta + 1.0))
-    m = s.margin()
+    log_k, log_ln, lb, lr, _ = parts or _log_parts(s)
+    m = s.margin() if m is None else m
     log_m2 = 2.0 * math.log(m) if m > 0.0 else -math.inf
-    log_ln = math.log(s.l_n)
-    la = log_k + log_m2 - s.nu * log_ln
-    lb = log_c - s.theta * log_ln + math.log1p(-s.pi_s)
-    return la, lb, log_k - log_c + (s.theta - s.nu) * log_ln + log_m2
+    return log_k + log_m2 - s.nu * log_ln, lb, lr + log_m2
 
 
 def _logaddexp(x: float, y: float) -> float:
@@ -463,8 +477,9 @@ def _logaddexp(x: float, y: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _decision_equation(s: Scenario) -> tuple:
-    """The decision equation in ``t = log l`` and the logs it is built from.
+def _decision_equation(s: Scenario, parts: tuple | None = None, m: float | None = None) -> tuple:
+    """The decision equation in ``t = log l`` and the logs it is built from,
+    at the margin ``m`` from ``parts``, as in ``_log_coefficients``.
 
     Returns ``(h, la, lb, lp, lr)``, with ``la``, ``lb`` and ``lr`` from
     ``_log_coefficients``, ``lp = log pi_s`` (``-inf`` when ``pi_s == 0``)
@@ -475,8 +490,9 @@ def _decision_equation(s: Scenario) -> tuple:
     the log of the ratio of the two sides of ``a l**(nu-1) = pi_s + b
     l**theta``: it has the sign of the surplus gradient at ``l = e^t``.
     """
-    la, lb, lr = _log_coefficients(s)
-    lp = math.log(s.pi_s) if s.pi_s > 0.0 else -math.inf
+    parts = parts or _log_parts(s)
+    la, lb, lr = _log_coefficients(s, parts, m)
+    lp = parts[4]
     nu1, theta = s.nu - 1.0, s.theta
     exp, log1p = math.exp, math.log1p
 

@@ -15,10 +15,11 @@ measured at an absolute new value.  A tornado table ranks factors by the
 larger magnitude of their two one-sided measurements.  Sweeps re-solve
 the scenario on a price grid; each grid point is an independent pure
 solve, so evaluation order never changes the output.  A sweep checks its
-whole grid once, then re-prices the scenario for each point by copying
-its validated fields (no per-point validation) and solves each copy
-once, through ``solver._optimum``; the OLR sweep reuses those copies for
-its secure-provider column.
+whole grid once and sets up the price-free half of the solve once
+(``solver._setup``); each price then costs only the per-price step
+(``solver._search``), which takes the price as an argument, so no point
+copies or re-validates the scenario.  The OLR sweep's secure-provider
+column alone re-prices a copy per point (``model._repriced``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from enum import Enum
 from .errors import DomainError, UsageError, ValidationError
 from .model import Scenario, _cap_risk, _repriced, demand_quantity, marginal_demand_factor
 from .secure import secure_feasible_loss
-from .solver import Regime, SolutionStatus, _grid_points, _optimum, classify_regime, solve_tradeoff
+from .solver import Regime, SolutionStatus, _grid_points, _search, _setup, _status_for, classify_regime, solve_tradeoff
 
 __all__ = [
     "SensitivityKind",
@@ -229,32 +230,29 @@ def default_price_grid(s: Scenario, pmin: float = 0.0, pmax: float | None = None
     return tuple(pmin + (i * step if step else i / div * delta) for i in range(div)) + (pmax,)
 
 
-def _revenue_at(s2: Scenario, l_opt: float) -> float:
-    alpha = marginal_demand_factor(s2, l_opt)
-    return s2.price * demand_quantity(s2, alpha, s2.price)
-
-
-def _solve_grid(s: Scenario, grid, sat: float | None = None) -> tuple:
-    """The price series of ``s`` on ``grid`` and each point's scenario.
+def _solve_grid(s: Scenario, grid, sat: float | None = None) -> SweepSeries:
+    """The price series of ``s`` on ``grid``.
 
     The grid is checked once, before any solve: every price becomes a
     float with ``0 <= p < p_star``, a comparison that NaN fails too, and
-    the prices must increase strictly.  Each point's scenario is ``s``
-    re-priced by ``model._repriced`` and costs one ``_optimum`` call.
+    the prices must increase strictly.  The price-free half of the solve,
+    ``solver._setup``, runs once; each price then costs one ``_search``
+    step.  Neither that step nor the revenue ``p q(p)`` reads ``s.price``,
+    so no point copies ``s``.
     """
     grid = tuple(float(p) for p in grid)
     p_star = s.p_star
     if not all(0.0 <= p < p_star for p in grid):
         raise ValidationError("grid", f"prices must lie in [0, {p_star})")
     _check_increasing(grid)
-    scenarios = tuple(_repriced(s, price=p) for p in grid)
+    setup = _setup(s)
     l_opt, revenue, statuses = [], [], []
-    for s2 in scenarios:
-        l, status = _optimum(s2)
+    for p in grid:
+        l = _search(s, setup, p)[0]
         l_opt.append(l)
-        statuses.append(status)
-        revenue.append(_revenue_at(s2, l))
-    series = SweepSeries(
+        statuses.append(_status_for(l, s.l_n))
+        revenue.append(p * demand_quantity(s, marginal_demand_factor(s, l), p))
+    return SweepSeries(
         factor="price",
         grid=grid,
         l_opt=tuple(l_opt),
@@ -262,19 +260,18 @@ def _solve_grid(s: Scenario, grid, sat: float | None = None) -> tuple:
         statuses=tuple(statuses),
         saturation_price=sat,
     )
-    return series, scenarios
 
 
 def price_sweep(s: Scenario, grid) -> SweepSeries:
     """Optimal loss and provider revenue across a price grid.
 
-    The grid is checked once, as a whole; each point re-solves a copy of
-    ``s`` at that price.  For ``nu < 1`` the loss series is
+    The grid is checked once, as a whole; each point re-solves ``s`` at
+    that price.  For ``nu < 1`` the loss series is
     non-increasing in the price: a flat stretch at the cap below the
     saturation price, strictly falling above it.
     """
     sat = saturation_price(s) if classify_regime(s) is Regime.NU_LT_1 else None
-    return _solve_grid(s, grid, sat)[0]
+    return _solve_grid(s, grid, sat)
 
 
 def revenue_sweep(s: Scenario, grid) -> tuple:
@@ -290,9 +287,9 @@ def olr_sweep(s: Scenario, grid) -> SweepSeries:
     """Optimal Loss Ratio across a price grid.
 
     Requires a vulnerable provider (``pi_s > 0``), otherwise the ratio is
-    identically 1.  The grid is checked and solved as in ``price_sweep``,
-    and each point's re-priced scenario also gives the secure-side
-    optimum.  The reported saturation price is the kink where the
+    identically 1.  The grid is checked and solved as in ``price_sweep``;
+    the secure-side optimum of each point is that of ``s`` re-priced by
+    ``model._repriced``.  The reported saturation price is the kink where the
     secure-side optimum leaves the cap; below both saturation points the
     ratio is exactly 1.  Grid points where the ratio is undefined, as in
     ``optimal_loss_ratio`` (a vulnerable optimum of 0, or a ratio beyond
@@ -300,10 +297,10 @@ def olr_sweep(s: Scenario, grid) -> SweepSeries:
     """
     if s.pi_s <= 0.0:
         raise UsageError("OLR sweep needs pi_s > 0; the ratio is identically 1 otherwise")
-    series, scenarios = _solve_grid(s, grid)
+    series = _solve_grid(s, grid)
     ratios = (
-        secure_feasible_loss(s2) / l if l > 0 else math.nan
-        for s2, l in zip(scenarios, series.l_opt)
+        secure_feasible_loss(_repriced(s, price=p)) / l if l > 0 else math.nan
+        for p, l in zip(series.grid, series.l_opt)
     )
     olr = tuple(r if r < math.inf else math.nan for r in ratios)
     kink = None

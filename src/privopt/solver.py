@@ -38,7 +38,9 @@ from .model import (
     _decision_equation,
     _exp,
     _gain,
+    _log_parts,
     _logaddexp,
+    _margin,
     _surplus_bounds,
     _surplus_scale,
     net_surplus,
@@ -96,6 +98,10 @@ class Regime(str, Enum):
     NU_EQ_1_PLUS_THETA = "NU_EQ_1_PLUS_THETA"
 
 
+# reading a member off the class takes ~0.2 us on CPython 3.10-3.11
+_NU_LT_1, _SUBCASE_A, _SUBCASE_B, _NU_EQ_1, _NU_EQ_1_PLUS_THETA = Regime
+
+
 class SolutionStatus(str, Enum):
     INTERIOR = "INTERIOR"
     CLAMPED_AT_LN = "CLAMPED_AT_LN"
@@ -115,6 +121,10 @@ class TradeoffSolution:
     ``nu < 1`` regime, collapsed onto the root when ``pi_s == 0``.  Both
     hold positive finite floats only: a point that under- or overflows
     the float range is left out, and so is a bracket with such an end.
+    A critical point is accurate to the root tolerance only, about 1e-12
+    relative, while the status comes from the sign of the decision
+    equation at ``l_n``: so a ``CLAMPED_AT_LN`` solution can list a root
+    a rounding below ``l_n`` (table2 at its own saturation price).
     """
 
     l_opt: float
@@ -167,14 +177,14 @@ def normalized_gradient(s: Scenario, l: float) -> float:
 def classify_regime(s: Scenario) -> Regime:
     """Unique regime tag; boundary equality uses REGIME_TOL."""
     if abs(s.nu - 1.0) <= REGIME_TOL:
-        return Regime.NU_EQ_1
+        return _NU_EQ_1
     if abs(s.nu - (1.0 + s.theta)) <= REGIME_TOL:
-        return Regime.NU_EQ_1_PLUS_THETA
+        return _NU_EQ_1_PLUS_THETA
     if s.nu < 1.0:
-        return Regime.NU_LT_1
+        return _NU_LT_1
     if s.nu < 1.0 + s.theta:
-        return Regime.SUBCASE_A
-    return Regime.SUBCASE_B
+        return _SUBCASE_A
+    return _SUBCASE_B
 
 
 def feasibility_report(s: Scenario) -> FeasibilityReport:
@@ -221,7 +231,7 @@ def brentq(f, lo: float, hi: float, maxiter: int = MAX_ITER) -> float:
     """
     xpre, xcur = float(lo), float(hi)
     fpre, fcur = float(f(xpre)), float(f(xcur))
-    if math.isnan(fpre) or math.isnan(fcur):
+    if fpre != fpre or fcur != fcur:  # NaN
         raise NumericError(f"root bracket [{lo}, {hi}] has a NaN end value")
     if fpre == 0.0:
         return xpre
@@ -231,7 +241,8 @@ def brentq(f, lo: float, hi: float, maxiter: int = MAX_ITER) -> float:
         raise NumericError(f"root bracket [{lo}, {hi}] does not change sign")
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
-        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+        # fpre is never 0 here; a zero fcur returns xcur below either way
+        if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
@@ -254,7 +265,8 @@ def brentq(f, lo: float, hi: float, maxiter: int = MAX_ITER) -> float:
                     stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
             except ZeroDivisionError:
                 pass  # IEEE division would give inf or NaN: bisect as well
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+        bound = 3 * abs(sbis) - delta  # min(abs(spre), bound), as min picks it
+        if 2 * abs(stry) < (bound if bound < abs(spre) else abs(spre)):
             # good short step
             spre, scur = scur, stry
         else:
@@ -265,7 +277,7 @@ def brentq(f, lo: float, hi: float, maxiter: int = MAX_ITER) -> float:
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = float(f(xcur))
-        if math.isnan(fcur):
+        if fcur != fcur:
             raise NumericError(f"root refinement met a NaN value at {xcur}")
     raise NumericError(f"root refinement failed to converge in {maxiter} iterations")
 
@@ -283,22 +295,29 @@ def _status_for(l_opt: float, l_n: float) -> SolutionStatus:
     return SolutionStatus.INTERIOR
 
 
-def _search(s: Scenario) -> tuple:
-    """``(l_opt, regime, roots, bracket)``, roots and bracket in ``t``.  Where
-    the cap test ``h(log l_n) >= 0`` puts a ``nu < 1`` optimum at ``l_n``,
-    ``roots`` is the root search not yet run, for ``solve_tradeoff``."""
-    regime = classify_regime(s)
+def _setup(s: Scenario) -> tuple:
+    """The price-free half of a solve: ``(regime, model._log_parts(s))``."""
+    return classify_regime(s), _log_parts(s)
+
+
+def _search(s: Scenario, setup: tuple, price: float) -> tuple:
+    """``(l_opt, roots, bracket)`` of ``s`` at ``price`` from ``_setup(s)``,
+    roots and bracket in ``t``, with ``solve_tradeoff``'s errors; ``s.price``
+    is not read.  Where the ranking needs no root (the cap test, ``nu > 1 +
+    theta``), ``roots`` is the search not yet run, for ``solve_tradeoff``."""
+    regime, parts = setup
+    m = _margin(s, price)
     roots, bracket = (), None
-    if s.margin() == 0.0:
+    if m == 0.0:
         # price at or above willingness-to-pay: only the loss term remains
         candidates = (0.0,)
     else:
-        h, la, lb, lp, lr = _decision_equation(s)
+        h, la, lb, lp, lr = _decision_equation(s, parts, m)
         nu1, theta, d = s.nu - 1.0, s.theta, s.theta - s.nu + 1.0
-        if regime is Regime.NU_EQ_1:
+        if regime is _NU_EQ_1:
             if la > lp:
                 roots = ((la + math.log(-math.expm1(lp - la)) - lb) / theta,)
-        elif regime is Regime.NU_EQ_1_PLUS_THETA:
+        elif regime is _NU_EQ_1_PLUS_THETA:
             # h = la - lb - log1p(pi_s / (b l**theta)) rises to la - lb
             if la > lb and s.pi_s > 0.0:
                 roots = ((lp - la - math.log(-math.expm1(lb - la))) / theta,)
@@ -308,7 +327,7 @@ def _search(s: Scenario) -> tuple:
             t_u = t_l = (lr if s.pi_s == 0.0 else la - lb) / d
             if s.pi_s == 0.0:
                 roots = (t_u,)  # h = lr - d*t
-            elif regime is Regime.SUBCASE_A:
+            elif regime is _SUBCASE_A:
                 t_peak = (lp + math.log(nu1 / d) - lb) / theta
                 if h(t_peak) > 0.0:
                     # h <= la + (nu-1) t - log pi_s and h <= la - lb - d t
@@ -316,45 +335,38 @@ def _search(s: Scenario) -> tuple:
                         brentq(h, (lp - la - 1.0) / nu1, t_peak),
                         brentq(h, t_peak, t_u + 1.0 / d),
                     )
-            elif regime is Regime.SUBCASE_B:
+            elif regime is _SUBCASE_B:
                 # h rises; by the same bounds (d < 0) h <= -1 below lo, and
                 # h >= la + (nu-1) t - max(log pi_s, lb + theta t) - log 2
                 # is at least 2 - log 2 above hi
                 lo = max((lp - la - 1.0) / nu1, t_u + 1.0 / d)
                 hi = max((lp - la + 2.0) / nu1, t_u - 2.0 / d)
-                roots = (brentq(h, lo, hi),)
+                roots = lambda: (brentq(h, lo, hi),)  # noqa: E731
             else:
                 # h >= 1 left of t_l - 1/(1-nu) and h <= -1 right of t_u + 1/d
                 t_l = _logaddexp(nu1 * t_u, lp - la) / nu1
-                search = lambda: (brentq(h, t_l + 1.0 / nu1, t_u + 1.0 / d),)  # noqa: E731
-                if h(math.log(s.l_n)) >= 0.0:
-                    return s.l_n, regime, search, (t_l, t_u)  # the surplus still rises at l_n
-                roots = search()
-            if regime is Regime.NU_LT_1:
+                roots = lambda: (brentq(h, t_l + 1.0 / nu1, t_u + 1.0 / d),)  # noqa: E731
+                if h(parts[1]) < 0.0:  # h(log l_n); else the surplus still rises at l_n
+                    roots = roots()
+            if regime is _NU_LT_1:
                 bracket = (t_l, t_u)
-        if regime in (Regime.SUBCASE_B, Regime.NU_EQ_1_PLUS_THETA):
+        if regime in (_SUBCASE_B, _NU_EQ_1_PLUS_THETA):
             candidates = (0.0, s.l_n)  # the stationary point is a minimum
+        elif callable(roots):
+            candidates = (s.l_n,)  # the cap test's
         else:
             # the last root is the maximum; without one the surplus falls
             candidates = (min(_exp(roots[-1]), s.l_n),) if roots else (0.0,)
-            if regime is Regime.SUBCASE_A and s.pi_s > 0.0:
+            if regime is _SUBCASE_A and s.pi_s > 0.0:
                 candidates += (0.0, s.l_n)
 
-    ranked = sorted(set(candidates))
-    l_opt = ranked[0]
-    if len(ranked) > 1:
+    c = _surplus_scale(s, m)  # DomainError where the surplus overflows
+    l_opt = candidates[0]
+    if len(candidates) > 1:
         # max keeps the first of equal gains, so ties go to the smaller
         # loss; the gain at 0 is 0 exactly and needs no evaluation
-        l_opt = max(ranked, key=lambda l: _gain(s, l) if l else 0.0)
-    return l_opt, regime, roots, bracket
-
-
-def _optimum(s: Scenario) -> tuple:
-    """``(l_opt, status)`` of ``solve_tradeoff(s)``, with the same errors
-    (the surplus scale's included), for the sweeps: nothing else is built."""
-    l_opt = _search(s)[0]
-    _surplus_scale(s)  # the overflow check of solve_tradeoff's closing net_surplus
-    return l_opt, _status_for(l_opt, s.l_n)
+        l_opt = max(sorted(set(candidates)), key=lambda l: _gain(s, l, c) if l else 0.0)
+    return l_opt, roots, bracket
 
 
 def solve_tradeoff(s: Scenario) -> TradeoffSolution:
@@ -380,18 +392,21 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
     ``t_u``, which is also the secure closed form.  The optimum is the
     candidate with the largest gain over ``l = 0`` (``model._gain``),
     ties going to the smaller loss; its status follows from where it
-    sits, and its ``surplus`` is ``net_surplus`` there.  A sweep point's
-    ``_optimum`` runs the same search, so the two always agree.
+    sits, and its ``surplus`` is ``net_surplus`` there.  A sweep runs the
+    same ``_setup`` once and ``_search`` once per price, so its points
+    agree with this; where the ranking needs no root (the cap test, ``nu
+    > 1 + theta``) only this function runs the root search.
     """
-    l_opt, regime, roots, bracket = _search(s)
-    roots = roots() if callable(roots) else roots  # reported even when the cap test settled l_opt
+    setup = _setup(s)
+    l_opt, roots, bracket = _search(s, setup, s.price)
+    roots = roots() if callable(roots) else roots  # reported even where the ranking needed none
     bracket = tuple(map(_exp, bracket or ()))
     return TradeoffSolution(
         l_opt=l_opt,
         status=_status_for(l_opt, s.l_n),
         surplus=net_surplus(s, l_opt),
         critical_points=tuple(filter(_representable, map(_exp, roots))),
-        regime=regime,
+        regime=setup[0],
         bracket=bracket if bracket and all(map(_representable, bracket)) else None,
     )
 

@@ -47,6 +47,17 @@ def net_surplus(s, l):
     return cons - loss
 
 
+def gain(s, l):
+    """``net_surplus(s, l) - net_surplus(s, 0)`` without the constant term,
+    so it keeps 50 digits where the gain is far below the surplus."""
+    v = _m(s)
+    l = mp.mpf(float(l))
+    ratio = l / v["lN"]
+    margin = max(mp.mpf(0), 1 - v["p"] / v["pstar"])
+    benefit = (v["pstar"] * v["q"] / 2) * v["aN"] * ratio ** v["nu"] * margin**2
+    return benefit - (v["pis"] + v["pic"] * (1 - v["pis"]) * ratio ** v["th"]) * l
+
+
 def gradient(s, l):
     a, b = coefficients(s)
     v = _m(s)

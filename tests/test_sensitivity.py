@@ -239,18 +239,24 @@ class TestPriceSweep:
 
     @pytest.mark.parametrize("sweep", [price_sweep, revenue_sweep, olr_sweep])
     def test_order_is_checked_before_any_solve(self, table2, sweep, monkeypatch):
-        calls, optimum = 0, privopt.sensitivity._optimum
+        calls = {"setup": 0, "step": 0}
 
-        def counted(s):
-            nonlocal calls
-            calls += 1
-            return optimum(s)
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
 
-        # the sweeps solve each point through _optimum
-        monkeypatch.setattr(privopt.sensitivity, "_optimum", counted)
+        # the sweeps set up once, then solve each price through _search
+        monkeypatch.setattr(privopt.sensitivity, "_setup", counted("setup", privopt.sensitivity._setup))
+        monkeypatch.setattr(privopt.sensitivity, "_search", counted("step", privopt.sensitivity._search))
+        sweep(table2, [0.3, 0.4, 0.5])
+        assert calls == {"setup": 1, "step": 3}  # the counters see the sweep's solves
+
+        calls.update(dict.fromkeys(calls, 0))
         with pytest.raises(ValidationError) as exc:
             sweep(table2, [0.5, 0.4, 0.3])
-        assert calls == 0
+        assert calls == {"setup": 0, "step": 0}
         assert (exc.value.field, str(exc.value)) == ("grid", "grid: must be strictly increasing")
 
     @pytest.mark.parametrize("sweep", [price_sweep, olr_sweep])
@@ -409,8 +415,8 @@ class TestSweepMatchesReferenceLoop:
                 return f(*args, **kwargs)
             return wrapper
 
-        # the sweeps solve each point through _optimum
-        monkeypatch.setattr(privopt.sensitivity, "_optimum", counted("solve", privopt.sensitivity._optimum))
+        # the sweeps solve each price through the per-price step _search
+        monkeypatch.setattr(privopt.sensitivity, "_search", counted("solve", privopt.sensitivity._search))
         monkeypatch.setattr(
             privopt.sensitivity, "secure_feasible_loss", counted("secure", secure_feasible_loss)
         )
@@ -425,6 +431,22 @@ class TestSweepMatchesReferenceLoop:
         olr_sweep(table2, grid)
         # the secure-side kink's pi_s = 0 copy is not validated either
         assert calls == {"solve": 21, "secure": 21, "post_init": 0}
+
+    def test_only_the_secure_column_copies_the_scenario(self, table2, monkeypatch):
+        copies = []
+        repriced = privopt.sensitivity._repriced
+
+        def counted(s, **changes):
+            copies.extend(changes)
+            return repriced(s, **changes)
+
+        monkeypatch.setattr(privopt.sensitivity, "_repriced", counted)
+        grid = default_price_grid(table2, points=21)
+        price_sweep(table2, grid)
+        assert copies == []
+        olr_sweep(table2, grid)
+        # one priced copy per point for secure_feasible_loss, and the kink's pi_s = 0 copy
+        assert (copies.count("price"), copies.count("pi_s"), len(copies)) == (21, 1, 22)
 
     def test_subcase_b_secure_fallback(self, monkeypatch):
         # nu >= 1 + theta: the closed form does not apply, and each point's

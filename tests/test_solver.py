@@ -36,17 +36,19 @@ from privopt import (
     SolutionStatus,
     ValidationError,
     classify_regime,
+    default_price_grid,
     feasibility_report,
     net_surplus,
     normalized_gradient,
     oracle_grid_argmax,
+    price_sweep,
     saturation_price,
     solve_discrete,
     solve_tradeoff,
     surplus_gradient,
 )
 from privopt.model import _decision_equation, _log_coefficients, _surplus_bounds
-from privopt.solver import MAX_ORACLE_POINTS, ORACLE_BLOCK, RTOL, XTOL, _optimum, brentq
+from privopt.solver import MAX_ORACLE_POINTS, ORACLE_BLOCK, RTOL, XTOL, _search, _setup, brentq
 
 # nu between 1 and 1+theta: gradient peaks, two stationary points, interior max
 SUBCASE_A_INTERIOR = Scenario(
@@ -106,6 +108,13 @@ SWAMPED_GAIN = Scenario(
     q_star=39.63525824274204, p_star=145487.1795179883, price=40540.97793718545,
     nu=1.172386138415872, theta=0.44524999388319525, alpha_n=0.07671223144676435,
     l_n=158581265471.55164, pi_s=2.9992278311875015e-10, pi_c_star=0.008841208378965851,
+)
+
+# nu == 1 with a breach-proof provider: the optimum 7.3e-51 gains about
+# 2.3e-54 on a surplus of 7.0e-3, which 50-digit surpluses cannot resolve
+TINY_GAIN = Scenario(
+    q_star=0.1, p_star=1.0, price=0.625, nu=1.0, theta=0.01,
+    alpha_n=10.0**0.625, l_n=0.930572040929699, pi_s=0.0, pi_c_star=0.1,
 )
 
 
@@ -340,22 +349,22 @@ class TestSolveMonotoneRegime:
 
 
 def settled_by_the_cap_test(s) -> bool:
-    """Whether ``_optimum`` returned ``s``'s optimum without the root
-    search a ``nu < 1``, ``pi_s > 0`` scenario with demand would run; if
-    so, check that early return."""
+    """Whether the per-price ``_search`` returned ``s``'s optimum without
+    the root search a ``nu < 1``, ``pi_s > 0`` scenario with demand would
+    run; if so, check that early return."""
     with mock.patch.object(privopt.solver, "brentq", wraps=brentq) as root:
         try:
-            l_opt, status = _optimum(s)
+            l_opt = _search(s, _setup(s), s.price)[0]
         except (DomainError, NumericError):
             return False
     searched = classify_regime(s) is Regime.NU_LT_1 and s.pi_s > 0.0 and s.margin() > 0.0
     if not searched or root.called:
         return False
-    assert (l_opt, status) == (s.l_n, SolutionStatus.CLAMPED_AT_LN)
+    assert l_opt == s.l_n
     # the cap test's only license: the surplus still rises at l_n
     assert normalized_gradient(s, s.l_n) >= 0.0
     sol = solve_tradeoff(s)
-    assert (sol.l_opt, sol.status) == (l_opt, status)
+    assert (sol.l_opt, sol.status) == (l_opt, SolutionStatus.CLAMPED_AT_LN)
     return True
 
 
@@ -376,6 +385,33 @@ class TestCapTest:
     @settings(max_examples=200, deadline=None)
     def test_early_returns_have_a_nonnegative_gradient(self, s):
         settled_by_the_cap_test(s)
+
+    def test_root_at_the_saturation_price_is_reported_within_tolerance(self, table2):
+        # h(log l_n) is exactly 0 at table2's own saturation price, so the cap
+        # test clamps; the root search then reports the root a rounding below
+        # l_n (the 50-digit root is 10000.0000000000022)
+        s = dataclasses.replace(table2, price=saturation_price(table2))
+        sol = solve_tradeoff(s)
+        assert (sol.l_opt, sol.status) == (s.l_n, SolutionStatus.CLAMPED_AT_LN)
+        (root,) = sol.critical_points
+        assert root == 9999.99999999999 < s.l_n
+        assert float(abs(mp.log(root) - _oracle.log_root(s, math.log(s.l_n)))) < 1e-12
+
+
+class TestDeferredSearch:
+    def test_subcase_b_sweep_runs_no_root_search(self):
+        # nu > 1 + theta: the stationary point is a surplus minimum and only 0
+        # and l_n compete, so a sweep point leaves the root search unrun
+        s = SUBCASE_B_CLAMPED
+        with mock.patch.object(privopt.solver, "brentq", wraps=brentq) as root:
+            series = price_sweep(s, default_price_grid(s, points=21))
+            assert root.call_count == 0
+            sol = solve_tradeoff(s)
+            assert root.call_count == 1
+        assert series.statuses[0] is sol.status is SolutionStatus.CLAMPED_AT_LN
+        # solve_tradeoff still runs it to report the critical point
+        (point,) = sol.critical_points
+        assert abs(normalized_gradient(s, point)) < 1e-12
 
 
 class TestSolveNuEq1:
@@ -706,14 +742,16 @@ class TestOracleProperty:
 
     @given(s=fuzz_scenarios())
     @example(s=SWAMPED_GAIN)
+    @example(s=TINY_GAIN)
     @settings(max_examples=200, deadline=None)
     def test_pick_is_an_exact_maximiser(self, s):
-        # every candidate the solver weighs, ranked by the 50-digit surplus
-        # with no tolerance: none may beat the pick
+        # every candidate the solver weighs, ranked by its 50-digit gain over
+        # l = 0 with no tolerance: none may beat the pick.  A 50-digit surplus
+        # cannot rank them where the gains lie below 1e-50 of it
         sol = solve_tradeoff(s)
         candidates = [0.0, s.l_n, *(min(c, s.l_n) for c in sol.critical_points)]
-        best = max(_oracle.net_surplus(s, l) for l in candidates)
-        assert _oracle.net_surplus(s, sol.l_opt) >= best, (s, sol)
+        best = max(_oracle.gain(s, l) for l in candidates)
+        assert _oracle.gain(s, sol.l_opt) >= best, (s, sol)
 
 
 class TestNormalizedGradient:
