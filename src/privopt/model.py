@@ -184,27 +184,6 @@ def _margin(s: Scenario, price: float) -> float:
     return max(0.0, 1.0 - price / s.p_star)
 
 
-def _repriced(s: Scenario, **changes: float) -> Scenario:
-    """``dataclasses.replace(s, **changes)`` for caller-checked float
-    fields, such as a price ``0 <= price < inf`` or ``pi_s=0.0``.
-
-    The copy takes ``s``'s other, already-validated fields as they are and
-    skips ``__post_init__``; it is equal to, hashes like and prints like
-    the ``replace`` result, for a fraction of its cost.
-    """
-    s2 = object.__new__(type(s))
-    setattr_ = object.__setattr__  # one lookup per copy, not one per field
-    for name in _FIELDS:
-        setattr_(s2, name, changes[name] if name in changes else getattr(s, name))
-    return s2
-
-
-#: Scenario's field names in order; ``_repriced`` sets them one by one,
-#: because reading ``vars()`` would give the copy and ``s`` the per-instance
-#: dict that makes every later attribute read slower.
-_FIELDS = tuple(Scenario.__dataclass_fields__)
-
-
 @dataclass(frozen=True)
 class ConsumptionRegion:
     """Quantity band where a data release benefits both parties.

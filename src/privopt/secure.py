@@ -17,10 +17,10 @@ exposure a customer accepts when the provider becomes breach-proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ClosedFormInapplicableError, DomainError
-from .model import _exp, _log_coefficients, _repriced
+from .model import _exp, _log_coefficients
 from .solver import REGIME_TOL, solve_tradeoff
 
 __all__ = [
@@ -89,7 +89,7 @@ def secure_feasible_loss(s) -> float:
     try:
         return secure_optimal_loss(s)[1]
     except ClosedFormInapplicableError:
-        return solve_tradeoff(_repriced(s, pi_s=0.0)).l_opt
+        return solve_tradeoff(replace(s, pi_s=0.0)).l_opt
 
 
 def optimal_loss_ratio(s) -> float:

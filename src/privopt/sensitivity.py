@@ -19,7 +19,7 @@ whole grid once and sets up the price-free half of the solve once
 (``solver._setup``); each price then costs only the per-price step
 (``solver._search``), which takes the price as an argument, so no point
 copies or re-validates the scenario.  The OLR sweep's secure-provider
-column alone re-prices a copy per point (``model._repriced``).
+column is the same step on one ``pi_s = 0`` copy of the scenario.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import DomainError, UsageError, ValidationError
-from .model import Scenario, _cap_risk, _repriced, demand_quantity, marginal_demand_factor
-from .secure import secure_feasible_loss
+from .model import Scenario, _cap_risk, demand_quantity, marginal_demand_factor
+# unused here, but perfbench/tracing.py resolves this name and exits if it is gone
+from .secure import secure_feasible_loss  # noqa: F401
 from .solver import Regime, SolutionStatus, _grid_points, _search, _setup, _status_for, classify_regime, solve_tradeoff
 
 __all__ = [
@@ -287,25 +288,26 @@ def olr_sweep(s: Scenario, grid) -> SweepSeries:
     """Optimal Loss Ratio across a price grid.
 
     Requires a vulnerable provider (``pi_s > 0``), otherwise the ratio is
-    identically 1.  The grid is checked and solved as in ``price_sweep``;
-    the secure-side optimum of each point is that of ``s`` re-priced by
-    ``model._repriced``.  The reported saturation price is the kink where the
-    secure-side optimum leaves the cap; below both saturation points the
-    ratio is exactly 1.  Grid points where the ratio is undefined, as in
+    identically 1.  The grid is checked and solved as in ``price_sweep``,
+    and the secure-side optimum of each point is the same per-price step
+    on one copy of ``s`` with ``pi_s = 0``, which equals
+    ``secure_feasible_loss`` there.  The reported saturation price is the
+    kink where the secure-side optimum leaves the cap; below both
+    saturation points the ratio is exactly 1.  Grid points where the ratio is undefined, as in
     ``optimal_loss_ratio`` (a vulnerable optimum of 0, or a ratio beyond
     the float range), yield NaN.
     """
     if s.pi_s <= 0.0:
         raise UsageError("OLR sweep needs pi_s > 0; the ratio is identically 1 otherwise")
     series = _solve_grid(s, grid)
+    secure = replace(s, pi_s=0.0)
+    setup = _setup(secure)
     ratios = (
-        secure_feasible_loss(_repriced(s, price=p)) / l if l > 0 else math.nan
+        _search(secure, setup, p)[0] / l if l > 0 else math.nan
         for p, l in zip(series.grid, series.l_opt)
     )
     olr = tuple(r if r < math.inf else math.nan for r in ratios)
-    kink = None
-    if classify_regime(s) is Regime.NU_LT_1:
-        kink = saturation_price(_repriced(s, pi_s=0.0))
+    kink = saturation_price(secure) if setup[0] is Regime.NU_LT_1 else None
     return replace(series, olr=olr, saturation_price=kink)
 
 

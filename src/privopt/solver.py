@@ -111,6 +111,9 @@ class SolutionStatus(str, Enum):
     NO_SOLUTION = "NO_SOLUTION"
 
 
+_INTERIOR, _CLAMPED_AT_LN, _AT_ZERO, *_ = SolutionStatus  # aliases, as for Regime
+
+
 @dataclass(frozen=True)
 class TradeoffSolution:
     """Feasible optimum of the disclosure trade-off.
@@ -200,13 +203,13 @@ def feasibility_report(s: Scenario) -> FeasibilityReport:
     regime = classify_regime(s)
     margin2 = s.margin() ** 2
     risk = _cap_risk(s)
-    if regime is Regime.NU_LT_1:
+    if regime is _NU_LT_1:
         return FeasibilityReport(regime=regime, conditions=(), guaranteed_unique=True)
-    if regime in (Regime.SUBCASE_A, Regime.SUBCASE_B):
+    if regime in (_SUBCASE_A, _SUBCASE_B):
         bound = s.alpha_n * (s.q_star * s.p_star * s.nu / 2.0) * margin2 / risk
         cond = FeasibilityCondition("sufficient_l_n_upper_bound", bound, s.l_n < bound)
         return FeasibilityReport(regime=regime, conditions=(cond,), guaranteed_unique=cond.satisfied)
-    if regime is Regime.NU_EQ_1:
+    if regime is _NU_EQ_1:
         base = (s.q_star * s.p_star / 2.0) * margin2 * s.alpha_n
         lower = base / risk
         conditions = (FeasibilityCondition("band_lower_edge", lower, s.l_n > lower),)
@@ -289,10 +292,10 @@ def _representable(l: float) -> bool:
 
 def _status_for(l_opt: float, l_n: float) -> SolutionStatus:
     if l_opt == 0.0:
-        return SolutionStatus.AT_ZERO
+        return _AT_ZERO
     if l_opt == l_n:
-        return SolutionStatus.CLAMPED_AT_LN
-    return SolutionStatus.INTERIOR
+        return _CLAMPED_AT_LN
+    return _INTERIOR
 
 
 def _setup(s: Scenario) -> tuple:
@@ -314,7 +317,9 @@ def _search(s: Scenario, setup: tuple, price: float) -> tuple:
     else:
         h, la, lb, lp, lr = _decision_equation(s, parts, m)
         nu1, theta, d = s.nu - 1.0, s.theta, s.theta - s.nu + 1.0
-        if regime is _NU_EQ_1:
+        # at pi_s == 0, nu == 1 takes the crossing below, as the secure
+        # closed form does wherever it applies (d > REGIME_TOL)
+        if regime is _NU_EQ_1 and (s.pi_s > 0.0 or d <= REGIME_TOL):
             if la > lp:
                 roots = ((la + math.log(-math.expm1(lp - la)) - lb) / theta,)
         elif regime is _NU_EQ_1_PLUS_THETA:
@@ -388,14 +393,15 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
       rises, so the surplus has at most an interior minimum and only the
       endpoints compete.
 
-    With ``pi_s == 0`` the only root outside ``nu == 1`` is the crossing
-    ``t_u``, which is also the secure closed form.  The optimum is the
-    candidate with the largest gain over ``l = 0`` (``model._gain``),
-    ties going to the smaller loss; its status follows from where it
-    sits, and its ``surplus`` is ``net_surplus`` there.  A sweep runs the
-    same ``_setup`` once and ``_search`` once per price, so its points
-    agree with this; where the ranking needs no root (the cap test, ``nu
-    > 1 + theta``) only this function runs the root search.
+    With ``pi_s == 0`` the only root in every regime but ``nu == 1 +
+    theta`` is the crossing ``t_u``, which is the secure closed form, bit
+    for bit.  The optimum is the candidate with the largest gain over
+    ``l = 0`` (``model._gain``), ties going to the smaller loss; its
+    status follows from where it sits, and its ``surplus`` is
+    ``net_surplus`` there.  A sweep runs the same ``_setup`` once and
+    ``_search`` once per price, so its points agree with this; where the
+    ranking needs no root (the cap test, ``nu > 1 + theta``) only this
+    function runs the root search.
     """
     setup = _setup(s)
     l_opt, roots, bracket = _search(s, setup, s.price)

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import sys
-import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -31,7 +30,7 @@ from privopt import (
     surplus_gradient,
     valid_demand_region,
 )
-from privopt.model import _gain, _repriced, _surplus_bounds
+from privopt.model import _gain, _surplus_bounds
 
 
 class TestScenarioValidation:
@@ -81,59 +80,6 @@ class TestScenarioValidation:
         assert s.margin() == 0.0
         s = dataclasses.replace(table2, price=2.5)
         assert s.margin() == 0.0
-
-
-def traced_bytes(make, count=10_000):
-    """Traced memory held by ``count`` results of ``make()``, after one
-    untraced call."""
-    make()
-    tracemalloc.start()
-    try:
-        kept = [make() for _ in range(count)]
-        return tracemalloc.get_traced_memory()[0], kept
-    finally:
-        tracemalloc.stop()
-
-
-class TestRepriced:
-    @given(s=fuzz_scenarios() | wide_scenarios(), ratio=st.floats(0.0, 2.0))
-    @example(s=Scenario(250, 1, 0.5, 0.138647, 0.138647, 0.2, 1e4, 1e-4, 1e-4), ratio=-0.0)
-    @settings(max_examples=200, deadline=None)
-    def test_equals_replace(self, s, ratio):
-        # the sweeps' re-priced points and the secure side's pi_s = 0 copies
-        before = repr(s)
-        for changes in ({"price": s.p_star * ratio}, {"pi_s": 0.0}):
-            want = dataclasses.replace(s, **changes)
-            got = _repriced(s, **changes)
-            assert type(got) is Scenario
-            assert got == want
-            assert hash(got) == hash(want)
-            assert repr(got) == repr(want)
-            assert math.copysign(1.0, got.price) == math.copysign(1.0, want.price)
-        assert repr(s) == before
-
-    def test_copies_hold_no_more_than_built_scenarios(self, table2):
-        # each field is set by name, so a copy keeps its values inline, as
-        # Scenario(...) does, and builds no per-instance dict (which took
-        # 10,000 copies from about 1,800 to 2,400 KiB); 16 KiB absorbs
-        # the allocator's own noise
-        fields = dataclasses.asdict(table2)
-        built, _ = traced_bytes(lambda: Scenario(**fields))
-        copied, copies = traced_bytes(lambda: _repriced(table2, price=0.4))
-        assert copied <= built + 2**14
-        assert copies[0] == dataclasses.replace(table2, price=0.4)
-
-    def test_base_gains_no_dict(self, table2):
-        # reading vars(base) would give each base a dict of its own
-        bases = [Scenario(**dataclasses.asdict(table2)) for _ in range(10_000)]
-        tracemalloc.start()
-        try:
-            for base in bases:
-                _repriced(base, pi_s=0.0)
-            grown = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert grown < 2**14
 
 
 #: Loss fractions of ``l_n``: zero, the smallest subnormal, a tiny normal

@@ -6,7 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import _oracle
 from conftest import (
@@ -16,6 +16,7 @@ from conftest import (
     boundary_scenarios,
     fuzz_scenarios,
     make_random_scenario,
+    wide_scenarios,
 )
 from privopt import (
     ClosedFormInapplicableError,
@@ -294,3 +295,30 @@ class TestSolverConsistency:
         sol = solve_tradeoff(secure)
         assert sol.critical_points == ((raw,) if 0.0 < raw < math.inf else ())
         assert sol.l_opt == clamped
+
+    @given(s=fuzz_scenarios() | wide_scenarios() | boundary_scenarios())
+    @example(s=Scenario(
+        129.9379968330778, 1.0, 0.753722173886814, 1.0, 0.2704509121788065,
+        0.17029928831400892, 19934.67253265694, 0.0, 0.0004755608724472235,
+    ))  # nu == 1, where the solver once took (la - lb)/theta
+    @settings(max_examples=300, deadline=None)
+    def test_solver_optimum_is_the_clamped_closed_form(self, s):
+        # the OLR sweep's secure column is the solver's step at pi_s = 0, so
+        # it must give secure_feasible_loss's floats wherever the closed form applies
+        secure = dataclasses.replace(s, pi_s=0.0)
+        if classify_regime(secure) not in (Regime.NU_LT_1, Regime.NU_EQ_1, Regime.SUBCASE_A):
+            return
+        try:
+            l_opt = solve_tradeoff(secure).l_opt
+        except DomainError:  # an overflowing surplus scale
+            return
+        assert l_opt == secure_optimal_loss(secure)[1]
+
+    def test_nu_eq_1_without_a_closed_form(self):
+        # theta below REGIME_TOL puts nu = 1 + theta in the nu == 1 regime with
+        # theta - nu + 1 == 0: no closed form, and the solver keeps the nu == 1 root
+        s = Scenario(250, 1, 0.5, 1.0 + 2.0**-44, 2.0**-44, 0.2, 1e4, 0.0, 1e-4)
+        assert classify_regime(s) is Regime.NU_EQ_1
+        with pytest.raises(ClosedFormInapplicableError):
+            secure_optimal_loss(s)
+        assert solve_tradeoff(s).l_opt == secure_feasible_loss(s) == s.l_n

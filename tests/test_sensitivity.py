@@ -247,11 +247,13 @@ class TestPriceSweep:
                 return f(*args)
             return wrapper
 
-        # the sweeps set up once, then solve each price through _search
+        # the sweeps set up once, then solve each price through _search; the
+        # OLR sweep's secure column is a second setup and a second step per price
         monkeypatch.setattr(privopt.sensitivity, "_setup", counted("setup", privopt.sensitivity._setup))
         monkeypatch.setattr(privopt.sensitivity, "_search", counted("step", privopt.sensitivity._search))
         sweep(table2, [0.3, 0.4, 0.5])
-        assert calls == {"setup": 1, "step": 3}  # the counters see the sweep's solves
+        columns = 2 if sweep is olr_sweep else 1
+        assert calls == {"setup": columns, "step": 3 * columns}  # the counters see the sweep's solves
 
         calls.update(dict.fromkeys(calls, 0))
         with pytest.raises(ValidationError) as exc:
@@ -407,7 +409,7 @@ class TestSweepMatchesReferenceLoop:
         assert outcome(olr_sweep, s, grid) == outcome(reference_olr_sweep, s, grid)
 
     def test_one_solve_and_no_validation_per_point(self, table2, monkeypatch):
-        calls = {"solve": 0, "secure": 0, "post_init": 0}
+        calls = {"solve": 0, "secure_solve": 0, "secure": 0, "post_init": 0}
 
         def counted(name, f):
             def wrapper(*args, **kwargs):
@@ -415,8 +417,13 @@ class TestSweepMatchesReferenceLoop:
                 return f(*args, **kwargs)
             return wrapper
 
+        def step(s, setup, price):
+            calls["secure_solve" if s.pi_s == 0.0 else "solve"] += 1
+            return search(s, setup, price)
+
         # the sweeps solve each price through the per-price step _search
-        monkeypatch.setattr(privopt.sensitivity, "_search", counted("solve", privopt.sensitivity._search))
+        search = privopt.sensitivity._search
+        monkeypatch.setattr(privopt.sensitivity, "_search", step)
         monkeypatch.setattr(
             privopt.sensitivity, "secure_feasible_loss", counted("secure", secure_feasible_loss)
         )
@@ -424,33 +431,34 @@ class TestSweepMatchesReferenceLoop:
         grid = default_price_grid(table2, points=21)
 
         series = price_sweep(table2, grid)
-        assert calls == {"solve": 21, "secure": 0, "post_init": 0}
+        assert calls == {"solve": 21, "secure_solve": 0, "secure": 0, "post_init": 0}
         assert all(l > 0 for l in series.l_opt)
 
         calls.update(dict.fromkeys(calls, 0))
         olr_sweep(table2, grid)
-        # the secure-side kink's pi_s = 0 copy is not validated either
-        assert calls == {"solve": 21, "secure": 21, "post_init": 0}
+        # the secure column is one step per point on a single pi_s = 0 copy,
+        # which is validated once per sweep, not per point
+        assert calls == {"solve": 21, "secure_solve": 21, "secure": 0, "post_init": 1}
 
     def test_only_the_secure_column_copies_the_scenario(self, table2, monkeypatch):
         copies = []
-        repriced = privopt.sensitivity._repriced
 
-        def counted(s, **changes):
-            copies.extend(changes)
-            return repriced(s, **changes)
+        def counted(obj, **changes):
+            if isinstance(obj, Scenario):
+                copies.append(changes)
+            return dataclasses.replace(obj, **changes)
 
-        monkeypatch.setattr(privopt.sensitivity, "_repriced", counted)
+        monkeypatch.setattr(privopt.sensitivity, "replace", counted)
         grid = default_price_grid(table2, points=21)
         price_sweep(table2, grid)
         assert copies == []
         olr_sweep(table2, grid)
-        # one priced copy per point for secure_feasible_loss, and the kink's pi_s = 0 copy
-        assert (copies.count("price"), copies.count("pi_s"), len(copies)) == (21, 1, 22)
+        # the secure column's and the kink's one pi_s = 0 copy per sweep
+        assert copies == [{"pi_s": 0.0}]
 
     def test_subcase_b_secure_fallback(self, monkeypatch):
         # nu >= 1 + theta: the closed form does not apply, and each point's
-        # secure-side optimum is a solve of its pi_s = 0 copy
+        # secure-side optimum is the solver's step on the pi_s = 0 copy
         s = Scenario(250, 1, 0.5, 1.5, 0.2, 0.2, 1e4, 1e-4, 1e-4)
         grid = default_price_grid(s)
         want = reference_olr_sweep(s, grid)
@@ -463,7 +471,7 @@ class TestSweepMatchesReferenceLoop:
         monkeypatch.setattr(Scenario, "__post_init__", counted)
         got = olr_sweep(s, grid)
         assert repr(got) == repr(want)
-        assert calls == 0
+        assert calls == 1  # the pi_s = 0 copy, made once per sweep
         assert sum(l > 0 for l in got.l_opt) > 100
 
 
