@@ -156,7 +156,7 @@ def load_scenario(path: str) -> ScenarioFile:
     if missing:
         raise ValidationError(", ".join(missing), "missing required key(s)")
 
-    scenario = Scenario(**{key: _number(key, data[key]) for key in SCENARIO_KEYS})
+    scenario = Scenario(**{key: data[key] for key in SCENARIO_KEYS})
 
     sweep = None
     if "sweep" in data:

@@ -20,7 +20,7 @@ Scalars are evaluated with ``math``; numpy is imported only when an array
 arrives.  Each power is one ``exp`` of a sum of logs, so extreme
 exponents and parameters neither underflow nor overflow before the power
 itself does; the decision coefficients ``a`` and ``b`` exist only as
-logs (``_log_coefficients``).  The surplus kernel ``_gain`` takes one log
+logs (``_decision_equation``).  The surplus kernel ``_gain`` takes one log
 of ``l/l_n`` for both of its powers; its array terms come from
 ``_terms``, which ``_surplus_bounds`` shares.
 """
@@ -423,7 +423,7 @@ def _log_product(*factors) -> float:
 
 def _log_parts(s: Scenario) -> tuple:
     """The price-free logs ``(log_k, log l_n, lb, lr - log m^2, lp)`` that
-    ``_log_coefficients`` completes at a margin ``m``, with ``k = (q* p* nu
+    ``_decision_equation`` completes at a margin ``m``, with ``k = (q* p* nu
     / 2) alpha_n`` and ``lp = log pi_s``; they raise nothing."""
     log_k = _log_product(0.5, s.q_star, s.p_star, s.nu, s.alpha_n)
     log_c = math.log(s.pi_c_star * (s.theta + 1.0))
@@ -431,23 +431,6 @@ def _log_parts(s: Scenario) -> tuple:
     lb = log_c - s.theta * log_ln + math.log1p(-s.pi_s)
     lp = math.log(s.pi_s) if s.pi_s > 0.0 else -math.inf
     return log_k, log_ln, lb, log_k - log_c + (s.theta - s.nu) * log_ln, lp
-
-
-def _log_coefficients(s: Scenario, parts: tuple | None = None, m: float | None = None) -> tuple:
-    """Logs ``(la, lb, lr)`` of the decision coefficients ``a`` and ``b``
-    and of ``a/b`` for a breach-proof provider (``pi_s = 0``), at the
-    margin ``m`` from ``parts = _log_parts(s)``; by default at ``s``'s own.
-
-    They come from the logs of the parameters, so they stay finite where
-    ``a`` or ``b`` itself would under- or overflow.  ``lr / (theta - nu +
-    1)`` is the log of the crossing of the two power terms, which is the
-    secure closed-form optimum.  ``la`` and ``lr`` are ``-inf`` when the
-    price kills the demand (``price >= p_star``).
-    """
-    log_k, log_ln, lb, lr, _ = parts or _log_parts(s)
-    m = s.margin() if m is None else m
-    log_m2 = 2.0 * math.log(m) if m > 0.0 else -math.inf
-    return log_k + log_m2 - s.nu * log_ln, lb, lr + log_m2
 
 
 def _logaddexp(x: float, y: float) -> float:
@@ -458,20 +441,28 @@ def _logaddexp(x: float, y: float) -> float:
 
 def _decision_equation(s: Scenario, parts: tuple | None = None, m: float | None = None) -> tuple:
     """The decision equation in ``t = log l`` and the logs it is built from,
-    at the margin ``m`` from ``parts``, as in ``_log_coefficients``.
+    at the margin ``m`` from ``parts = _log_parts(s)``; by default at
+    ``s``'s own.
 
-    Returns ``(h, la, lb, lp, lr)``, with ``la``, ``lb`` and ``lr`` from
-    ``_log_coefficients``, ``lp = log pi_s`` (``-inf`` when ``pi_s == 0``)
-    and::
+    Returns ``(h, la, lb, lp, lr)``: the logs of the decision coefficients
+    ``a`` and ``b``, of ``pi_s`` (``-inf`` when ``pi_s == 0``) and of
+    ``a/b`` for a breach-proof provider (``pi_s = 0``), and::
 
         h(t) = la + (nu-1) t - logaddexp(lp, lb + theta t)
 
     the log of the ratio of the two sides of ``a l**(nu-1) = pi_s + b
     l**theta``: it has the sign of the surplus gradient at ``l = e^t``.
+    The logs come from the logs of the parameters, so they stay finite
+    where ``a`` or ``b`` itself would under- or overflow.  ``lr / d``, with
+    the exponent gap ``d = theta - nu + 1``, is the log of the crossing of
+    the two power terms, which is the secure closed-form optimum.  ``la``
+    and ``lr`` are ``-inf`` when the price kills the demand (``price >=
+    p_star``).
     """
-    parts = parts or _log_parts(s)
-    la, lb, lr = _log_coefficients(s, parts, m)
-    lp = parts[4]
+    log_k, log_ln, lb, lr, lp = parts or _log_parts(s)
+    m = s.margin() if m is None else m
+    log_m2 = 2.0 * math.log(m) if m > 0.0 else -math.inf
+    la, lr = log_k + log_m2 - s.nu * log_ln, lr + log_m2
     nu1, theta = s.nu - 1.0, s.theta
     exp, log1p = math.exp, math.log1p
 
@@ -492,7 +483,7 @@ def surplus_gradient(s: Scenario, l):
 
     evaluated as the decision gradient ``a*l**(nu-1) - pi_s - b*l**theta``
     with its terms ``exp(la + (nu-1) log l)`` and ``exp(lb + theta log l)``
-    built from the logs of ``_log_coefficients``: finite wherever their
+    built from the logs of ``_decision_equation``: finite wherever their
     values are, even where ``l_n**-nu`` under- or overflows, and ``inf``
     past the float range.  At ``nu == 1`` the first term is ``a``, also at
     ``l = inf``.  Diverges to +inf as ``l -> 0+`` when ``nu < 1``, hence
@@ -503,7 +494,7 @@ def surplus_gradient(s: Scenario, l):
     l = _float_or_array(l)
     if not _bounds(l)[0] > 0:
         raise DomainError("loss must be > 0 (gradient may diverge at 0)")
-    la, lb, _ = _log_coefficients(s)
+    _, la, lb, _, _ = _decision_equation(s)
     nu1, theta = s.nu - 1.0, s.theta
     if isinstance(l, float):
         t = math.log(l)

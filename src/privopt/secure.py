@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ClosedFormInapplicableError, DomainError
-from .model import _exp, _log_coefficients
-from .solver import REGIME_TOL, solve_tradeoff
+from .model import _decision_equation, _exp
+from .solver import REGIME_TOL, _exponent_gap, solve_tradeoff
 
 __all__ = [
     "SecureElasticities",
@@ -59,7 +59,8 @@ class SecureQuasiElasticities:
 
 
 def _exponent_denominator(s) -> float:
-    d = s.theta - s.nu + 1.0
+    """``solver._exponent_gap``; ClosedFormInapplicableError unless it exceeds REGIME_TOL."""
+    d = _exponent_gap(s)
     if d <= REGIME_TOL:
         raise ClosedFormInapplicableError(
             f"closed form needs nu < 1 + theta (nu={s.nu}, theta={s.theta}); "
@@ -73,13 +74,11 @@ def secure_optimal_loss(s) -> tuple:
 
     ``pi_s`` in the scenario is ignored (treated as 0).  Returns the raw
     closed-form value (``inf`` when it overflows) and its clamp to
-    ``[0, l_n]``.  Raises ClosedFormInapplicableError when
-    ``nu >= 1 + theta``.
+    ``[0, l_n]``, both 0 at a zero margin.  Raises
+    ClosedFormInapplicableError when ``nu >= 1 + theta``.
     """
     d = _exponent_denominator(s)
-    if s.margin() == 0.0:
-        return 0.0, 0.0
-    raw = _exp(_log_coefficients(s)[2] / d)
+    raw = _exp(_decision_equation(s)[4] / d)
     return raw, min(raw, s.l_n)
 
 
@@ -158,7 +157,7 @@ def secure_quasi_elasticities(s) -> SecureQuasiElasticities:
     if 0.0 < ratio < math.inf:
         rho = math.log(ratio)
     else:
-        rho = _log_coefficients(s)[2] / d - math.log(s.l_n)
+        rho = _decision_equation(s)[4] / d - math.log(s.l_n)
     k = 1.0 / d
     values = (k * (1.0 / s.nu + rho), -k * (rho + 1.0 / (s.theta + 1.0)), -k / s.pi_c_star)
     if not all(map(math.isfinite, values)):

@@ -54,7 +54,7 @@ __all__ = [
 DIMENSIONAL_FACTORS = ("q_star", "p_star", "price", "l_n")
 DIMENSIONLESS_FACTORS = ("nu", "theta", "pi_s", "pi_c_star")
 
-#: Largest price grid a sweep accepts; every point costs one full solve.
+#: Largest price grid a sweep accepts; every point costs one ``solver._search`` step.
 MAX_SWEEP_POINTS = 10**5
 
 #: Factor, low perturbation, high perturbation.  Dimensional rows carry

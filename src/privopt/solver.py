@@ -177,15 +177,23 @@ def normalized_gradient(s: Scenario, l: float) -> float:
     return math.tanh(_decision_equation(s)[0](math.log(l)) / 2.0)
 
 
+def _exponent_gap(s: Scenario) -> float:
+    """``theta - nu + 1``: ``classify_regime`` places ``nu`` against ``1 +
+    theta`` by it, and the crossing and the secure closed form divide by it."""
+    return s.theta - s.nu + 1.0
+
+
 def classify_regime(s: Scenario) -> Regime:
-    """Unique regime tag; boundary equality uses REGIME_TOL."""
+    """Unique regime tag; boundary equality uses REGIME_TOL, on ``|nu - 1|``
+    and on ``|_exponent_gap(s)|``."""
+    d = _exponent_gap(s)
     if abs(s.nu - 1.0) <= REGIME_TOL:
         return _NU_EQ_1
-    if abs(s.nu - (1.0 + s.theta)) <= REGIME_TOL:
+    if abs(d) <= REGIME_TOL:
         return _NU_EQ_1_PLUS_THETA
     if s.nu < 1.0:
         return _NU_LT_1
-    if s.nu < 1.0 + s.theta:
+    if d > 0.0:
         return _SUBCASE_A
     return _SUBCASE_B
 
@@ -299,8 +307,8 @@ def _status_for(l_opt: float, l_n: float) -> SolutionStatus:
 
 
 def _setup(s: Scenario) -> tuple:
-    """The price-free half of a solve: ``(regime, model._log_parts(s))``."""
-    return classify_regime(s), _log_parts(s)
+    """The price-free half of a solve: ``(regime, log parts, exponent gap)``."""
+    return classify_regime(s), _log_parts(s), _exponent_gap(s)
 
 
 def _search(s: Scenario, setup: tuple, price: float) -> tuple:
@@ -308,7 +316,7 @@ def _search(s: Scenario, setup: tuple, price: float) -> tuple:
     roots and bracket in ``t``, with ``solve_tradeoff``'s errors; ``s.price``
     is not read.  Where the ranking needs no root (the cap test, ``nu > 1 +
     theta``), ``roots`` is the search not yet run, for ``solve_tradeoff``."""
-    regime, parts = setup
+    regime, parts, d = setup
     m = _margin(s, price)
     roots, bracket = (), None
     if m == 0.0:
@@ -316,7 +324,7 @@ def _search(s: Scenario, setup: tuple, price: float) -> tuple:
         candidates = (0.0,)
     else:
         h, la, lb, lp, lr = _decision_equation(s, parts, m)
-        nu1, theta, d = s.nu - 1.0, s.theta, s.theta - s.nu + 1.0
+        nu1, theta = s.nu - 1.0, s.theta
         # at pi_s == 0, nu == 1 takes the crossing below, as the secure
         # closed form does wherever it applies (d > REGIME_TOL)
         if regime is _NU_EQ_1 and (s.pi_s > 0.0 or d <= REGIME_TOL):

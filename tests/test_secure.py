@@ -31,6 +31,22 @@ from privopt import (
     secure_quasi_elasticities,
     solve_tradeoff,
 )
+from privopt.solver import REGIME_TOL
+
+
+# nu next to 1 + theta, where theta - nu + 1 rounds inside REGIME_TOL and
+# nu - (1 + theta) outside it: the regime and the closed form must read one
+SUBCASE_A_AT_THE_TOLERANCE = Scenario(250, 1, 0.2, 1.6071476346819344, 0.6071476346829344, 0.05, 1e4, 0, 1e-3)
+
+
+def tolerance_band(theta: float) -> list:
+    """Scenarios with ``nu = 1 + theta +- (REGIME_TOL + k ulp)``, ``|k| <= 64``."""
+    edge = 1.0 + theta
+    return [
+        dataclasses.replace(SUBCASE_A_AT_THE_TOLERANCE, nu=edge + sign * REGIME_TOL + k * math.ulp(edge), theta=theta)
+        for sign in (-1.0, 1.0)
+        for k in range(-64, 65)
+    ]
 
 
 def fd_elasticity(s, field: str, rel_step: float = 1e-6) -> float:
@@ -72,6 +88,22 @@ class TestSecureOptimalLoss:
             s = dataclasses.replace(table2, nu=nu, theta=0.2)
             with pytest.raises(ClosedFormInapplicableError):
                 secure_optimal_loss(s)
+
+    @pytest.mark.parametrize("scenarios", [
+        pytest.param([SUBCASE_A_AT_THE_TOLERANCE], id="subcase_a_at_the_tolerance"),
+        *(pytest.param(tolerance_band(theta), id=f"band_theta_{theta}") for theta in (0.2, 0.5, 0.6071476346829344, 0.9)),
+    ])
+    def test_inapplicable_exactly_where_the_regime_says(self, scenarios):
+        # the regime and the closed form read one exponent gap, so they agree
+        # next to the nu == 1 + theta edge too
+        for s in scenarios:
+            applies = classify_regime(s) in (Regime.NU_LT_1, Regime.SUBCASE_A)
+            try:
+                secure_optimal_loss(s)
+                raised = False
+            except ClosedFormInapplicableError:
+                raised = True
+            assert raised is not applies, (s, classify_regime(s))
 
     def test_feasible_loss_falls_back_to_solver(self, table2):
         s = dataclasses.replace(table2, nu=1.5, theta=0.2)
@@ -247,7 +279,7 @@ class TestSecureQuasiElasticities:
     def test_finite_next_to_a_boundary(self, s):
         # k = 1/(theta - nu + 1) grows as nu -> 1 + theta from below, and
         # every value stays finite; above it the closed form does not apply
-        if s.nu > 1.0 + s.theta:
+        if classify_regime(s) not in (Regime.NU_LT_1, Regime.SUBCASE_A):
             with pytest.raises(ClosedFormInapplicableError):
                 secure_quasi_elasticities(s)
             return

@@ -47,7 +47,7 @@ from privopt import (
     solve_tradeoff,
     surplus_gradient,
 )
-from privopt.model import _decision_equation, _log_coefficients, _surplus_bounds
+from privopt.model import _decision_equation, _surplus_bounds
 from privopt.solver import MAX_ORACLE_POINTS, ORACLE_BLOCK, RTOL, XTOL, _search, _setup, brentq
 
 # nu between 1 and 1+theta: gradient peaks, two stationary points, interior max
@@ -135,7 +135,7 @@ def assert_oracle_optimal(s, sol, grid_points=257):
 
 def coefficients(s):
     """The decision coefficients ``(a, b)`` from their logs."""
-    return tuple(map(math.exp, _log_coefficients(s)[:2]))
+    return tuple(map(math.exp, _decision_equation(s)[1:3]))
 
 
 class TestDecisionCoefficients:
@@ -163,9 +163,9 @@ class TestDecisionCoefficients:
     def test_degenerate_price_signals(self, table2):
         # at or above the willingness-to-pay the demand, and with it a, is
         # zero: its log is -inf, not a ValueError from log(0)
-        lb = _log_coefficients(table2)[1]
+        lb = _decision_equation(table2)[2]
         for price in (1.0, 1.5):
-            la, lb2, lr = _log_coefficients(dataclasses.replace(table2, price=price))
+            _, la, lb2, _, lr = _decision_equation(dataclasses.replace(table2, price=price))
             assert (la, lb2, lr) == (-math.inf, lb, -math.inf)
 
 
