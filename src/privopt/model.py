@@ -227,8 +227,7 @@ def demand_quantity(s: Scenario, alpha: float, p):
     p = _float_or_array(p)
     if not _bounds(p)[0] >= 0:
         raise DomainError("price must be >= 0")
-    margin = 1.0 - p / s.p_star
-    margin = max(margin, 0.0) if isinstance(margin, float) else margin.clip(0.0)
+    margin = _margin(s, p) if isinstance(p, float) else (1.0 - p / s.p_star).clip(0.0)
     return s.q_star * (1.0 + alpha) * margin
 
 

@@ -9,11 +9,13 @@ its log-ratio form in ``t = log l``, which ``model`` builds::
 where ``la = log a`` and ``lb = log b`` come straight from the scenario
 parameters, so every quantity stays finite however far the optimum sits
 from 1.  ``h`` has the sign of the surplus gradient, is concave, and its
-slope lies between ``nu-1-theta`` and ``nu-1``.  So each regime brackets
-its roots in closed form, with ``|h| >= 1`` at every bracket end, and
-refines each root by one Brent search in ``t``; or, for ``nu == 1``,
-``nu == 1 + theta`` and every ``pi_s == 0`` case, solves ``h = 0`` in
-closed form.  An absolute error in ``t`` is a relative error in ``l``:
+slope lies between ``nu-1-theta`` and ``nu-1``.  A breach-proof
+provider (``pi_s == 0``) is settled first: ``h`` is then linear, and
+unless its slope is within ``REGIME_TOL`` of 0 its one root is the
+secure closed form.  Otherwise each regime brackets its roots in closed
+form, with ``|h| >= 1`` at every bracket end, and refines each root by
+one Brent search in ``t``; or, for ``nu == 1`` and ``nu == 1 + theta``,
+solves ``h = 0`` in closed form.  An absolute error in ``t`` is a relative error in ``l``:
 roots come out within about 1e-12 relative of the exact root, plus the
 rounding floor of ``h`` where a root is ill-conditioned.  In every regime
 the returned loss is the argmax of the net surplus over ``[0, l_n]``,
@@ -39,6 +41,7 @@ from .model import (
     _exp,
     _gain,
     _log_parts,
+    _log_product,
     _logaddexp,
     _margin,
     _surplus_bounds,
@@ -141,9 +144,10 @@ class TradeoffSolution:
 @dataclass(frozen=True)
 class FeasibilityCondition:
     """One condition on ``l_n``: ``bound`` is the edge ``l_n`` is compared
-    against, None where its formula leaves the float range (it overflows,
-    or an overflow meets a zero margin); ``satisfied`` is the comparison
-    with the value the formula gave."""
+    against, None where it is not a float: it lies beyond the float range,
+    or an overflow in its formula meets a zero margin.  A bound whose
+    linear formula overflows on the way comes from its logs instead.
+    ``satisfied`` is the comparison with the value the formula gave."""
 
     name: str
     bound: float | None
@@ -198,6 +202,16 @@ def classify_regime(s: Scenario) -> Regime:
     return _SUBCASE_B
 
 
+def _feasibility_bound(linear: float, log_factor: float, m: float, divisor: float) -> float:
+    """A feasibility bound ``factor m**2 / divisor`` as its linear formula
+    gave it, ``linear``; where that overflowed, the same bound from logs,
+    ``log_factor + 2 log m - log divisor``, which is ``inf`` only where the
+    bound itself lies beyond the float range."""
+    if linear != math.inf:
+        return linear
+    return _exp(log_factor + 2.0 * math.log(m) - math.log(divisor))
+
+
 def feasibility_report(s: Scenario) -> FeasibilityReport:
     """Evaluate the regime's existence/uniqueness conditions numerically.
 
@@ -209,20 +223,23 @@ def feasibility_report(s: Scenario) -> FeasibilityReport:
     has no upper edge when ``pi_s == 0``.
     """
     regime = classify_regime(s)
-    margin2 = s.margin() ** 2
+    m = s.margin()
+    margin2 = m**2
     risk = _cap_risk(s)
     if regime is _NU_LT_1:
         return FeasibilityReport(regime=regime, conditions=(), guaranteed_unique=True)
     if regime in (_SUBCASE_A, _SUBCASE_B):
         bound = s.alpha_n * (s.q_star * s.p_star * s.nu / 2.0) * margin2 / risk
+        bound = _feasibility_bound(bound, _log_parts(s)[0], m, risk)
         cond = FeasibilityCondition("sufficient_l_n_upper_bound", bound, s.l_n < bound)
         return FeasibilityReport(regime=regime, conditions=(cond,), guaranteed_unique=cond.satisfied)
     if regime is _NU_EQ_1:
         base = (s.q_star * s.p_star / 2.0) * margin2 * s.alpha_n
-        lower = base / risk
+        log_base = _log_product(0.5, s.q_star, s.p_star, s.alpha_n)
+        lower = _feasibility_bound(base / risk, log_base, m, risk)
         conditions = (FeasibilityCondition("band_lower_edge", lower, s.l_n > lower),)
         if s.pi_s > 0:  # with pi_s == 0 the band has no upper edge
-            upper = base / s.pi_s
+            upper = _feasibility_bound(base / s.pi_s, log_base, m, s.pi_s)
             conditions += (FeasibilityCondition("band_upper_edge", upper, s.l_n < upper),)
         unique = all(c.satisfied for c in conditions)
         return FeasibilityReport(regime=regime, conditions=conditions, guaranteed_unique=unique)
@@ -318,16 +335,21 @@ def _search(s: Scenario, setup: tuple, price: float) -> tuple:
     theta``), ``roots`` is the search not yet run, for ``solve_tradeoff``."""
     regime, parts, d = setup
     m = _margin(s, price)
-    roots, bracket = (), None
+    roots, bracket, ends = (), None, ()
     if m == 0.0:
         # price at or above willingness-to-pay: only the loss term remains
         candidates = (0.0,)
     else:
         h, la, lb, lp, lr = _decision_equation(s, parts, m)
         nu1, theta = s.nu - 1.0, s.theta
-        # at pi_s == 0, nu == 1 takes the crossing below, as the secure
-        # closed form does wherever it applies (d > REGIME_TOL)
-        if regime is _NU_EQ_1 and (s.pi_s > 0.0 or d <= REGIME_TOL):
+        if s.pi_s == 0.0 and abs(d) > REGIME_TOL:
+            # breach-proof: h = lr - d*t, whose one root, the crossing of the
+            # two power terms, is the secure closed form, bit for bit
+            t_u = lr / d
+            roots = (t_u,)
+            if regime is _NU_LT_1:
+                bracket = (t_u, t_u)
+        elif regime is _NU_EQ_1:
             if la > lp:
                 roots = ((la + math.log(-math.expm1(lp - la)) - lb) / theta,)
         elif regime is _NU_EQ_1_PLUS_THETA:
@@ -335,12 +357,8 @@ def _search(s: Scenario, setup: tuple, price: float) -> tuple:
             if la > lb and s.pi_s > 0.0:
                 roots = ((lp - la - math.log(-math.expm1(lb - la))) / theta,)
         else:
-            # crossing of the two power terms, the only root when pi_s == 0;
-            # lr there makes it the secure closed form, bit for bit
-            t_u = t_l = (lr if s.pi_s == 0.0 else la - lb) / d
-            if s.pi_s == 0.0:
-                roots = (t_u,)  # h = lr - d*t
-            elif regime is _SUBCASE_A:
+            t_u = (la - lb) / d  # crossing of the two power terms
+            if regime is _SUBCASE_A:
                 t_peak = (lp + math.log(nu1 / d) - lb) / theta
                 if h(t_peak) > 0.0:
                     # h <= la + (nu-1) t - log pi_s and h <= la - lb - d t
@@ -348,6 +366,7 @@ def _search(s: Scenario, setup: tuple, price: float) -> tuple:
                         brentq(h, (lp - la - 1.0) / nu1, t_peak),
                         brentq(h, t_peak, t_u + 1.0 / d),
                     )
+                ends = (0.0, s.l_n)  # the ends compete with the maximum
             elif regime is _SUBCASE_B:
                 # h rises; by the same bounds (d < 0) h <= -1 below lo, and
                 # h >= la + (nu-1) t - max(log pi_s, lb + theta t) - log 2
@@ -358,20 +377,17 @@ def _search(s: Scenario, setup: tuple, price: float) -> tuple:
             else:
                 # h >= 1 left of t_l - 1/(1-nu) and h <= -1 right of t_u + 1/d
                 t_l = _logaddexp(nu1 * t_u, lp - la) / nu1
+                bracket = (t_l, t_u)
                 roots = lambda: (brentq(h, t_l + 1.0 / nu1, t_u + 1.0 / d),)  # noqa: E731
                 if h(parts[1]) < 0.0:  # h(log l_n); else the surplus still rises at l_n
                     roots = roots()
-            if regime is _NU_LT_1:
-                bracket = (t_l, t_u)
         if regime in (_SUBCASE_B, _NU_EQ_1_PLUS_THETA):
             candidates = (0.0, s.l_n)  # the stationary point is a minimum
         elif callable(roots):
             candidates = (s.l_n,)  # the cap test's
         else:
             # the last root is the maximum; without one the surplus falls
-            candidates = (min(_exp(roots[-1]), s.l_n),) if roots else (0.0,)
-            if regime is _SUBCASE_A and s.pi_s > 0.0:
-                candidates += (0.0, s.l_n)
+            candidates = ((min(_exp(roots[-1]), s.l_n),) if roots else (0.0,)) + ends
 
     c = _surplus_scale(s, m)  # DomainError where the surplus overflows
     l_opt = candidates[0]
@@ -401,15 +417,19 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
       rises, so the surplus has at most an interior minimum and only the
       endpoints compete.
 
-    With ``pi_s == 0`` the only root in every regime but ``nu == 1 +
-    theta`` is the crossing ``t_u``, which is the secure closed form, bit
-    for bit.  The optimum is the candidate with the largest gain over
-    ``l = 0`` (``model._gain``), ties going to the smaller loss; its
-    status follows from where it sits, and its ``surplus`` is
-    ``net_surplus`` there.  A sweep runs the same ``_setup`` once and
-    ``_search`` once per price, so its points agree with this; where the
-    ranking needs no root (the cap test, ``nu > 1 + theta``) only this
-    function runs the root search.
+    A breach-proof provider (``pi_s == 0``) comes first, in every regime:
+    ``h = lr - d t`` is then linear, with ``d = theta - nu + 1``, and
+    unless ``|d| <= REGIME_TOL`` its one root is the crossing ``lr / d``,
+    the secure closed form, bit for bit.  So the searched regimes above
+    see ``pi_s > 0`` only; ``nu == 1 + theta``, and ``nu == 1`` with so
+    small a ``theta``, keep their own closed forms at ``pi_s == 0``.
+
+    The optimum is the candidate with the largest gain over ``l = 0``
+    (``model._gain``), ties going to the smaller loss; its status follows
+    from where it sits, and its ``surplus`` is ``net_surplus`` there.  A
+    sweep runs the same ``_setup`` once and ``_search`` once per price, so
+    its points agree with this; where the ranking needs no root (the cap
+    test, ``nu > 1 + theta``) only this function runs the root search.
     """
     setup = _setup(s)
     l_opt, roots, bracket = _search(s, setup, s.price)

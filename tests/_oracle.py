@@ -92,6 +92,14 @@ def saturation_price(s):
     return v["pstar"] * (1 - mp.sqrt(ratio))
 
 
+def sufficient_bound(s, margin):
+    """The ``nu > 1`` uniqueness bound ``alpha_n (q* p* nu / 2) margin**2 /
+    risk`` at the given ``margin``."""
+    v = _m(s)
+    risk = v["pis"] + (1 - v["pis"]) * v["pic"] * (1 + v["th"])
+    return v["aN"] * (v["q"] * v["pstar"] * v["nu"] / 2) * mp.mpf(margin) ** 2 / risk
+
+
 def nu_eq_1_band(s):
     v = _m(s)
     base = (v["q"] * v["pstar"] / 2) * (1 - v["p"] / v["pstar"]) ** 2 * v["aN"]

@@ -85,7 +85,7 @@ OVERFLOWING_OLR = {
     "l_n": 1.259420070468783e+76, "pi_s": 3.1538709600953613e-102, "pi_c_star": 2.503037548200338e-251,
 }
 
-#: 1 < nu < 1 + theta scenario whose uniqueness bound, about 8e302, is
+#: 1 < nu < 1 + theta scenario whose uniqueness bound, about 5.2e302, is
 #: finite, but whose linear formula overflows on the way
 OVERFLOWING_BOUND = {
     "q_star": 1e160, "p_star": 1e160, "price": 9.9999999990000005e+159,

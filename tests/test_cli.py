@@ -40,6 +40,7 @@ from privopt.cli import (
 )
 from privopt.sensitivity import MAX_SWEEP_POINTS
 from privopt.solver import MAX_ORACLE_POINTS
+import _oracle
 from conftest import (
     OVERFLOWING_BENEFIT,
     OVERFLOWING_BOUND,
@@ -501,17 +502,32 @@ class TestCommands:
         assert strict_json(olr.read_text())["sweep"]["olr"] == [None] * 21
         assert "olr range         undefined at every grid price" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("params, satisfied", [(OVERFLOWING_BOUND, True), (TINY_RISK, False)],
-                             ids=["overflowing_bound", "tiny_risk"])
-    def test_overflowing_feasibility_bound_is_null(self, tmp_path, capsys, params, satisfied):
+    @pytest.mark.parametrize("params", [TINY_RISK], ids=["tiny_risk"])
+    def test_overflowing_feasibility_bound_is_null(self, tmp_path, capsys, params):
+        # the lower band edge, about 4.17e310, lies beyond the float range
         path = write_params(tmp_path, params)
         for command in ("solve", "feasibility"):
             out = tmp_path / f"{command}.json"
             assert main([command, path, "--no-timestamp", "--out", str(out)]) == EXIT_OK, command
             (condition,) = strict_json(out.read_text())["feasibility"]["conditions"]
             assert condition["bound"] is None
-            assert condition["satisfied"] is satisfied
-        assert f"bound undefined ({'satisfied' if satisfied else 'violated'})" in capsys.readouterr().out
+            assert condition["satisfied"] is False
+        assert "bound undefined (violated)" in capsys.readouterr().out
+
+    def test_overflowing_feasibility_formula_keeps_its_bound(self, tmp_path, capsys):
+        # the linear formula overflows on the way to a bound of about 5.2e302,
+        # which its logs keep: to a few ulp of the log, against the 50-digit
+        # bound at the same float margin
+        path = write_params(tmp_path, OVERFLOWING_BOUND)
+        s = Scenario(**OVERFLOWING_BOUND)
+        expected = _oracle.sufficient_bound(s, s.margin())
+        for command in ("solve", "feasibility"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, path, "--no-timestamp", "--out", str(out)]) == EXIT_OK, command
+            (condition,) = strict_json(out.read_text())["feasibility"]["conditions"]
+            assert condition["bound"] == pytest.approx(float(expected), rel=1e-12)
+            assert condition["satisfied"] is True
+        assert "bound undefined" not in capsys.readouterr().out
 
     def test_secure_reports_olr(self, capsys):
         assert main(["secure", TABLE2]) == EXIT_OK

@@ -18,7 +18,6 @@ import _oracle
 import privopt.solver
 from conftest import (
     OVERFLOWING_BENEFIT,
-    OVERFLOWING_BOUND,
     OVERFLOWING_SURPLUS,
     SUBNORMAL_CAP,
     TINY_OPTIMUM,
@@ -47,8 +46,8 @@ from privopt import (
     solve_tradeoff,
     surplus_gradient,
 )
-from privopt.model import _decision_equation, _surplus_bounds
-from privopt.solver import MAX_ORACLE_POINTS, ORACLE_BLOCK, RTOL, XTOL, _search, _setup, brentq
+from privopt.model import _cap_risk, _decision_equation, _exp, _surplus_bounds
+from privopt.solver import MAX_ORACLE_POINTS, ORACLE_BLOCK, RTOL, XTOL, _exponent_gap, _search, _setup, brentq
 
 # nu between 1 and 1+theta: gradient peaks, two stationary points, interior max
 SUBCASE_A_INTERIOR = Scenario(
@@ -231,13 +230,22 @@ class TestFeasibilityReport:
         assert rep.guaranteed_unique == cond.satisfied
 
     def test_overflowing_bound_is_none(self):
-        # the linear formulas overflow: no bound, but the comparison with inf stands
-        (cond,) = feasibility_report(Scenario(**OVERFLOWING_BOUND)).conditions
-        assert (cond.name, cond.bound, cond.satisfied) == ("sufficient_l_n_upper_bound", None, True)
+        # the band edge, about 4.17e310, lies beyond the float range: no
+        # bound, but the comparison with inf stands
         rep = feasibility_report(Scenario(**TINY_RISK))
         (cond,) = rep.conditions
         assert (cond.name, cond.bound, cond.satisfied) == ("band_lower_edge", None, False)
         assert not rep.guaranteed_unique
+
+    @pytest.mark.parametrize("pi_s", [1e-4, 0.0])
+    def test_finite_bounds_keep_the_linear_formula(self, table2, pi_s):
+        s = dataclasses.replace(table2, nu=1.2, pi_s=pi_s)
+        (cond,) = feasibility_report(s).conditions
+        assert cond.bound == s.alpha_n * (s.q_star * s.p_star * s.nu / 2.0) * s.margin() ** 2 / _cap_risk(s)
+        s = dataclasses.replace(table2, nu=1.0, pi_s=pi_s)
+        base = (s.q_star * s.p_star / 2.0) * s.margin() ** 2 * s.alpha_n
+        bounds = [c.bound for c in feasibility_report(s).conditions]
+        assert bounds == [base / _cap_risk(s)] + ([base / pi_s] if pi_s else [])
 
     def test_boundary_regime_not_guaranteed(self, table2):
         s = dataclasses.replace(table2, nu=1.2, theta=0.2)
@@ -510,6 +518,19 @@ class TestSolveValleyRegime:
         assert sol.status is SolutionStatus.CLAMPED_AT_LN
         (valley,) = sol.critical_points
         assert abs(normalized_gradient(s, valley)) < 1e-9
+
+    def test_breach_proof_lists_the_crossing(self):
+        # with pi_s == 0, h = lr - d t rises (d < 0): its one root is the
+        # crossing lr / d, a surplus minimum, and only 0 and l_n compete
+        s = dataclasses.replace(SUBCASE_B_CLAMPED, pi_s=0.0)
+        sol = solve_tradeoff(s)
+        assert sol.regime is Regime.SUBCASE_B
+        assert sol.critical_points == (_exp(_decision_equation(s)[4] / _exponent_gap(s)),)
+        assert sol.status is SolutionStatus.CLAMPED_AT_LN
+        # at nu == 1 + theta, h = la - lb is constant: no stationary point
+        sol = solve_tradeoff(dataclasses.replace(s, nu=1.5))
+        assert sol.regime is Regime.NU_EQ_1_PLUS_THETA
+        assert sol.critical_points == ()
 
     def test_oracle_agreement(self):
         for s in (SUBCASE_B_CLAMPED, dataclasses.replace(SUBCASE_B_CLAMPED, pi_c_star=0.5)):
