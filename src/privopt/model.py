@@ -389,9 +389,10 @@ def net_surplus(s: Scenario, l):
 
 
 def _surplus_bounds(s: Scenario, ends) -> tuple:
-    """The net surplus at ``ends``, an increasing float64 array in ``[0,
-    l_n]``, upper bounds on it between consecutive points, and the scale
-    of the surplus terms, from one ``_terms`` pass.
+    """The net surplus at ``ends``, an ascending float64 array in ``[0,
+    l_n]`` or a 2-D array of ascending rows, upper bounds on it between
+    consecutive points of a row, and the scale of the surplus terms, from
+    one ``_terms`` pass.
 
     Both terms of ``_gain`` rise with ``l`` (``nu, theta > 0``), so on
     ``[x0, x1]`` the net surplus is at most its benefit at ``x1`` less its
@@ -406,8 +407,8 @@ def _surplus_bounds(s: Scenario, ends) -> tuple:
     """
     c = _surplus_scale(s, s.margin())
     benefit, loss = _terms(s, ends, c)
-    bounds = benefit[1:] + c
-    bounds -= loss[:-1]
+    bounds = benefit[..., 1:] + c
+    bounds -= loss[..., :-1]
     benefit -= loss
     benefit += c
     return benefit, bounds, c + c * s.alpha_n + (s.pi_s + s.pi_c_star * (1.0 - s.pi_s)) * s.l_n

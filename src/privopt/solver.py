@@ -86,9 +86,11 @@ MAX_ORACLE_POINTS = 10**7
 #: and 169 minor page faults on average at 2**13, 2**14 and 2**15.
 ORACLE_BLOCK = 1 << 13
 
-#: Grid points per sub-block of the oracle's bounded walk: the oracle
-#: skips a whole sub-block when a bound proves it holds no maximum.
-_SUB_BLOCK = 1 << 12
+#: Piece widths, in grid points, of the oracle's bounding passes: the
+#: first cuts the grid, each later one the pieces the pass before kept,
+#: and a piece is dropped when a bound proves it holds no maximum.  Each
+#: width divides the one before.
+_SUB_BLOCK = (1 << 12, 1 << 6)
 
 
 class Regime(str, Enum):
@@ -512,16 +514,19 @@ def oracle_grid_argmax(s: Scenario, n: int) -> float:
     result is the same float as that whole grid's argmax.  It uses no
     root or bracket of the solver, only the model's surplus and bounds.
 
-    The grid is cut into sub-blocks of ``_SUB_BLOCK`` points.  One
-    ``model._surplus_bounds`` call evaluates the surplus at their end
-    points, grid points all, so the largest of those values, the
-    threshold, is one the grid attains; from the same terms it bounds the
-    surplus over each sub-block, and a sub-block is skipped when its bound
-    plus a slack lies strictly below the threshold.  The kept ones are
-    walked in blocks of at most ``ORACLE_BLOCK`` points, one
+    The search bounds before it walks, one pass per width of
+    ``_SUB_BLOCK``: the first cuts the grid into pieces of 4,096 points,
+    the second cuts each piece the first kept into pieces of 64.
+    ``model._surplus_bounds`` evaluates the surplus at the pieces' end
+    points, grid points all, and from the same terms bounds it over each
+    piece.  The threshold is the largest value at any end evaluated so
+    far, so it only rises and the grid attains it; a piece is dropped when
+    its bound plus a slack lies strictly below it.  The kept pieces of the
+    last pass are walked in blocks of at most ``ORACLE_BLOCK`` points, one
     ``net_surplus`` call each on the block's grid, keeping each block's
-    first maximum and then the first block holding the overall one.  So
-    memory is O(block), not O(n).
+    first maximum and then the first block holding the overall one.  A
+    pass bounds its pieces in chunks of about ``ORACLE_BLOCK`` ends, so
+    memory is O(block) plus 8 bytes per kept piece, not O(n).
 
     The slack is ``64 eps S``, with ``S = C + C alpha_n + (pi_s + k) l_n``
     from ``_surplus_bounds``, the largest magnitude any term of a value
@@ -533,47 +538,64 @@ def oracle_grid_argmax(s: Scenario, n: int) -> float:
     by under 6 eps; the products and sums after it add a few half-ulps
     of ``S``.  A computed value or bound thus lies within ``8 eps S`` of
     its exact counterpart, and two evaluations of one point differ by at
-    most twice that.  A point of a skipped sub-block then evaluates below
-    its exact bound plus ``8 eps S``, below the computed bound plus
-    ``16 eps S``, below the threshold less ``48 eps S``, and below the
-    walk's own value at the threshold's point less ``32 eps S``: strictly
-    below a value the walk sees, with a factor two to spare.  So skipping
-    moves neither the argmax nor its first-index ties.  The oracle walks
-    the whole grid instead when the step underflows to 0 (a subnormal
-    ``l_n``), when the threshold, a bound or the slack is not finite, or
-    when the slack is below the smallest normal float, where rounding
-    errs in absolute terms.
+    most twice that.  The final threshold's point is walked: it is an end
+    of the piece whose points hold it (its first point, or the last point
+    of the grid), and, as each width divides the one before, of that
+    piece's piece at every later pass; that piece's bound covers the
+    point's value within ``16 eps S``, so it is kept at any threshold up
+    to the final one.  A point of a dropped piece then evaluates below
+    its exact bound plus ``8 eps S``, below the computed bound plus ``16
+    eps S``, below the threshold of its pass, so the final one, less ``48
+    eps S``, and below the walk's own value at the final threshold's
+    point less ``32 eps S``: strictly below a value the walk sees, with a
+    factor two to spare.  So dropping moves neither the argmax nor its
+    first-index ties.  The oracle walks the whole grid instead when the
+    step underflows to 0 (a subnormal ``l_n``), or when at the first pass
+    the threshold, a bound or the slack is not finite or the slack is
+    below the smallest normal float, where rounding errs in absolute
+    terms; a later pass that fails those tests leaves the pieces of the
+    pass before.
     """
     n = _grid_points("n", n, MAX_ORACLE_POINTS)
     import numpy as np
 
     div = n - 1
     step = s.l_n / div
-    spans = [(start, min(start + ORACLE_BLOCK, n)) for start in range(0, n, ORACLE_BLOCK)]
-    if step:
-        subs = -(-n // _SUB_BLOCK)
-        ends = np.arange(subs + 1, dtype=np.float64) * _SUB_BLOCK
-        ends[-1] = div  # the last grid point, not an index past it
-        _grid_losses(ends, s, step, div)[-1] = s.l_n
-        at_ends, bounds, scale = _surplus_bounds(s, ends)
-        threshold = at_ends.max()
-        slack = 64 * sys.float_info.epsilon * scale
-        if math.isfinite(threshold) and sys.float_info.min <= slack < math.inf and np.isfinite(bounds).all():
-            spans = []
-            for j in np.flatnonzero(bounds + slack >= threshold).tolist():
-                start = j * _SUB_BLOCK
-                stop = min(start + _SUB_BLOCK, n)
-                if spans and spans[-1][1] == start and stop - spans[-1][0] <= ORACLE_BLOCK:
-                    start = spans.pop()[0]  # join the block that ends here
-                spans.append((start, stop))
+    starts, width = np.zeros(1, dtype=np.int64), n  # the whole grid, walked if no pass succeeds
+    threshold = -math.inf
+    for w in _SUB_BLOCK if step else ():
+        cuts = np.arange(0, width + w, w)  # a kept piece's new ends, from its start
+        rows = ORACLE_BLOCK // cuts.size
+        kept = []
+        for i in range(0, starts.size, rows):
+            index = starts[i : i + rows, None] + cuts
+            ends = np.minimum(index, div).astype(np.float64)
+            _grid_losses(ends, s, step, div)[index >= div] = s.l_n
+            at_ends, bounds, scale = _surplus_bounds(s, ends)
+            top = at_ends.max()
+            slack = 64 * sys.float_info.epsilon * scale
+            if not (math.isfinite(top) and sys.float_info.min <= slack < math.inf and np.isfinite(bounds).all()):
+                break
+            threshold = max(threshold, top)
+            lows = index[:, :-1]
+            kept.append(lows[(bounds + slack >= threshold) & (lows < n)])
+        else:  # no chunk failed the tests
+            starts, width = np.concatenate(kept), w
+            continue
+        break  # a failed pass leaves the previous pass's pieces
+    stops = np.minimum(starts + width, n)
+    # where the runs of touching pieces start and end
+    runs = np.concatenate(([True], starts[1:] != stops[:-1], [True]))
     points, values = [], []
-    for start, stop in spans:
-        grid = _grid_losses(np.arange(start, stop, dtype=np.float64), s, step, div)
-        if stop == n:
-            grid[-1] = s.l_n
-        block = net_surplus(s, grid)
-        i = int(np.argmax(block))
-        points.append(grid[i])
-        values.append(block[i])
+    for lo, hi in zip(starts[runs[:-1]].tolist(), stops[runs[1:]].tolist()):
+        for start in range(lo, hi, ORACLE_BLOCK):
+            stop = min(start + ORACLE_BLOCK, hi)
+            grid = _grid_losses(np.arange(start, stop, dtype=np.float64), s, step, div)
+            if stop == n:
+                grid[-1] = s.l_n
+            block = net_surplus(s, grid)
+            i = int(np.argmax(block))
+            points.append(grid[i])
+            values.append(block[i])
     # each block's first maximum, then the first block holding the overall one
     return float(points[int(np.argmax(values))])

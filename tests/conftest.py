@@ -53,6 +53,14 @@ SUBNORMAL_CAP = {
     "alpha_n": 2.0**-52, "l_n": 1e-319, "pi_s": 0.0, "pi_c_star": 0.5,
 }
 
+#: nu == 1 scenario whose surplus is flat within the grid oracle's slack:
+#: the gain and the expected loss stay below 1e-15 against a surplus scale
+#: of 1, so no bound can drop a grid point and every pass keeps every piece
+FLAT_SURPLUS = {
+    "q_star": 2.0, "p_star": 1.0, "price": 0.0, "nu": 1.0, "theta": 0.5,
+    "alpha_n": 1e-15, "l_n": 1e-15, "pi_s": 0.0, "pi_c_star": 0.5,
+}
+
 #: nu == 1 scenario with a breach-proof provider whose optimum is the
 #: subnormal 1.38e-321: relative sensitivities against it overflow
 SUBNORMAL_OPTIMUM = {

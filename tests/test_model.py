@@ -121,6 +121,25 @@ class TestSurplusBounds:
             return
         assert np.array_equal(_surplus_bounds(s, ends)[0], want, equal_nan=True)
 
+    @given(
+        s=fuzz_scenarios() | wide_scenarios() | boundary_scenarios(),
+        fracs=st.lists(LOSS_FRACTIONS, min_size=8, max_size=8).map(sorted),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_bounded_as_alone(self, s, fracs):
+        # the grid oracle bounds a chunk of pieces as one 2-D array: each
+        # row gets the floats a call on that row alone gives
+        ends = np.array(fracs).reshape(2, 4) * s.l_n
+        try:
+            rows = [_surplus_bounds(s, row) for row in ends]
+        except DomainError:  # the surplus scale overflows
+            return
+        values, bounds, scale = _surplus_bounds(s, ends)
+        for i, (row_values, row_bounds, row_scale) in enumerate(rows):
+            assert np.array_equal(values[i], row_values, equal_nan=True)
+            assert np.array_equal(bounds[i], row_bounds, equal_nan=True)
+            assert scale == row_scale
+
 
 class TestMarginalDemandFactor:
     def test_full_release_gives_alpha_n(self, table1):

@@ -17,6 +17,7 @@ from scipy.optimize import brentq as reference_brentq
 import _oracle
 import privopt.solver
 from conftest import (
+    FLAT_SURPLUS,
     OVERFLOWING_BENEFIT,
     OVERFLOWING_SURPLUS,
     SUBNORMAL_CAP,
@@ -405,6 +406,15 @@ class TestCapTest:
         assert root == 9999.99999999999 < s.l_n
         assert float(abs(mp.log(root) - _oracle.log_root(s, math.log(s.l_n)))) < 1e-12
 
+    @pytest.mark.parametrize("r", [1e-12, 1e-11, 1e-10, 1e-9])
+    def test_prices_just_above_saturation_are_searched(self, table2, r):
+        # h(log l_n) lies a hair below 0 here, and the root up to ~6e-9
+        # relative below l_n: the cap test must not clamp it to l_n
+        s = dataclasses.replace(table2, price=saturation_price(table2) * (1.0 + r))
+        sol = solve_tradeoff(s)
+        assert sol.status is SolutionStatus.INTERIOR
+        assert float(abs(mp.log(sol.l_opt) - _oracle.log_root(s, math.log(sol.l_opt)))) < 1e-12
+
 
 class TestDeferredSearch:
     def test_subcase_b_sweep_runs_no_root_search(self):
@@ -532,6 +542,14 @@ class TestSolveValleyRegime:
         assert sol.regime is Regime.NU_EQ_1_PLUS_THETA
         assert sol.critical_points == ()
 
+    def test_tie_goes_to_the_smaller_loss(self):
+        # the gain at l_n is exactly 0.0, so 0 and l_n tie at the surplus 2.0
+        s = Scenario(q_star=4, p_star=1, price=0, nu=2, theta=0.5, alpha_n=0.5, l_n=1.6, pi_s=0.25, pi_c_star=0.5)
+        assert net_surplus(s, 0.0) == net_surplus(s, s.l_n) == 2.0
+        sol = solve_tradeoff(s)
+        assert sol.regime is Regime.SUBCASE_B
+        assert (sol.l_opt, sol.status) == (0.0, SolutionStatus.AT_ZERO)
+
     def test_oracle_agreement(self):
         for s in (SUBCASE_B_CLAMPED, dataclasses.replace(SUBCASE_B_CLAMPED, pi_c_star=0.5)):
             sol = solve_tradeoff(s)
@@ -624,10 +642,11 @@ class TestOracleGridArgmax:
 
     def test_memory_is_one_block(self, table2):
         # the full 1e6-point grid and its temporaries traced about 38 MiB;
-        # the bounded walk and the full walk of a subnormal l_n, whose step
-        # underflows, both allocate block by block
+        # the bounded walk, the full walk of a subnormal l_n, whose step
+        # underflows, and a flat surplus, whose every piece survives every
+        # pass, all allocate block by block
         oracle_grid_argmax(table2, 1000)  # numpy's own first-use allocations
-        for s in (table2, Scenario(**SUBNORMAL_CAP)):
+        for s in (table2, Scenario(**SUBNORMAL_CAP), Scenario(**FLAT_SURPLUS)):
             tracemalloc.start()
             try:
                 oracle_grid_argmax(s, 10**6)
@@ -649,6 +668,37 @@ class TestOracleGridArgmax:
         monkeypatch.setattr(privopt.solver, "net_surplus", recording)
         oracle_grid_argmax(table2, 10**6)
         assert 0 < len(sizes) < -(-(10**6) // ORACLE_BLOCK) and max(sizes) <= ORACLE_BLOCK
+        # the 64-point pass walks 14,464 points here, where the 4,096-point
+        # sub-blocks alone took 114,688; the bound leaves 24 pieces for skip
+        # decisions that move with numpy's rounding
+        assert sum(sizes) <= 14_464 + 24 * 64
+        # a flat surplus keeps every piece: its walk is the whole grid
+        sizes.clear()
+        oracle_grid_argmax(Scenario(**FLAT_SURPLUS), 10**6)
+        assert sizes == [ORACLE_BLOCK] * (10**6 // ORACLE_BLOCK) + [10**6 % ORACLE_BLOCK]
+
+    def test_failed_pass_walks_the_pieces_kept_before(self, table2, monkeypatch):
+        # a later pass whose bounds are not finite leaves the 4,096-point
+        # sub-blocks the first pass kept, not the whole grid
+        kept, sizes = [], []
+
+        def failing(s, ends):
+            values, bounds, scale = _surplus_bounds(s, ends)
+            if kept:
+                bounds[0, 0] = math.nan
+            else:
+                kept.append(int((bounds + 64 * sys.float_info.epsilon * scale >= values.max()).sum()))
+            return values, bounds, scale
+
+        def recording(s, grid):
+            sizes.append(grid.size)
+            return net_surplus(s, grid)
+
+        monkeypatch.setattr(privopt.solver, "_surplus_bounds", failing)
+        monkeypatch.setattr(privopt.solver, "net_surplus", recording)
+        best = oracle_grid_argmax(table2, 10**6)
+        assert sum(sizes) == kept[0] * 4096 < 10**6
+        assert best == _oracle.grid_argmax(table2, 10**6)
 
     @pytest.mark.parametrize(
         "params, n, bounded",
@@ -691,6 +741,7 @@ class TestOracleGridArgmax:
     @example(s=Scenario(**SUBNORMAL_CAP), n=10**6)
     @example(s=Scenario(**SUBNORMAL_CAP), n=32769)
     @example(s=SWAMPED_GAIN, n=10**6)
+    @example(s=Scenario(**FLAT_SURPLUS), n=10**6)
     @settings(max_examples=100, deadline=None)
     def test_bounded_walk_matches_the_full_grid(self, s, n):
         # the skip rule never moves the argmax or its first-index ties,
