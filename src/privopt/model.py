@@ -48,9 +48,6 @@ __all__ = [
     "combined_breach_probability",
 ]
 
-#: Tolerance used before taking the square root of the region discriminant.
-DISCRIMINANT_TOL = 1e-12
-
 #: Largest ``t`` whose ``exp`` is finite.
 _T_MAX = math.log(sys.float_info.max)
 
@@ -190,8 +187,7 @@ class ConsumptionRegion:
 
     ``lower`` is the larger of the customer's surplus bound and the
     provider's lower revenue bound; ``upper`` is the provider's upper
-    revenue bound.  An empty region is representable (``lower > upper``,
-    or NaN bounds when the discriminant is negative).
+    revenue bound.  An empty region is representable (``lower > upper``).
     """
 
     lower: float
@@ -259,11 +255,9 @@ def valid_demand_region(s: Scenario, q1: float, alpha: float) -> ConsumptionRegi
         raise DomainError("alpha must be > 0")
     customer = q1 * math.sqrt(1.0 + alpha)
     x = q1 / s.q_star
+    # 0 < x < 1 keeps the rounded 4 x (1 - x) at most 1, so disc >= 0
     disc = 1.0 - 4.0 * x * (1.0 - x) / (1.0 + alpha)
-    if disc < -DISCRIMINANT_TOL:
-        nan = float("nan")
-        return ConsumptionRegion(nan, nan, float(customer), nan, nan)
-    root = math.sqrt(max(0.0, disc))
+    root = math.sqrt(disc)
     half = (1.0 + alpha) * s.q_star / 2.0
     provider_lower = half * (1.0 - root)
     provider_upper = half * (1.0 + root)

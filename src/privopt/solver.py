@@ -77,20 +77,23 @@ RTOL = 4 * sys.float_info.epsilon
 #: not its memory.
 MAX_ORACLE_POINTS = 10**7
 
-#: Most grid points the oracle evaluates per net_surplus call.  Each block
-#: allocates three float64 arrays of 64 KiB, its grid and the kernel's
-#: two, and drops them before the next.  Larger blocks walk faster in a
+#: Most end points the oracle evaluates per net_surplus or _surplus_bounds
+#: call: each pass reads its pieces' ends in chunks of as many whole rows
+#: as fit, 126 rows of 65 ends in the last two passes.  Each chunk
+#: allocates arrays of up to 64 KiB, its index and ends and the kernel's
+#: two, and drops them before the next.  Larger chunks walk faster in a
 #: fresh process (2**14 by ~15%), but where the heap keeps growing, as in
 #: the analysis benchmark, glibc gives their freed arrays back to the
 #: system and each call faults them in again: a 1e6-point call took 5, 63
 #: and 169 minor page faults on average at 2**13, 2**14 and 2**15.
 ORACLE_BLOCK = 1 << 13
 
-#: Piece widths, in grid points, of the oracle's bounding passes: the
-#: first cuts the grid, each later one the pieces the pass before kept,
-#: and a piece is dropped when a bound proves it holds no maximum.  Each
-#: width divides the one before.
-_SUB_BLOCK = (1 << 12, 1 << 6)
+#: Piece widths, in grid points, of the oracle's passes: the first cuts
+#: the grid, each later one the pieces the pass before kept, and each
+#: width divides the one before.  A piece is dropped when a bound proves
+#: it holds no maximum; the last pass, one point wide, is the walk and
+#: needs no bound.
+_SUB_BLOCK = (1 << 12, 1 << 6, 1)
 
 
 class Regime(str, Enum):
@@ -206,10 +209,11 @@ def classify_regime(s: Scenario) -> Regime:
 
 def _feasibility_bound(linear: float, log_factor: float, m: float, divisor: float) -> float:
     """A feasibility bound ``factor m**2 / divisor`` as its linear formula
-    gave it, ``linear``; where that overflowed, the same bound from logs,
-    ``log_factor + 2 log m - log divisor``, which is ``inf`` only where the
-    bound itself lies beyond the float range."""
-    if linear != math.inf:
+    gave it, ``linear``; where that overflowed, or fell below the normal
+    range at a positive margin ``m``, the same bound from logs,
+    ``log_factor + 2 log m - log divisor``, which is ``inf`` or 0 only
+    where the bound itself lies beyond the float range."""
+    if sys.float_info.min <= linear < math.inf or not m > 0.0:
         return linear
     return _exp(log_factor + 2.0 * math.log(m) - math.log(divisor))
 
@@ -486,24 +490,6 @@ def _grid_points(name: str, n, cap: int) -> int:
     return int(n)
 
 
-def _grid_losses(index, s: Scenario, step: float, div: int):
-    """The oracle's grid points at the float ``index`` array, in place.
-
-    The same floats as ``numpy.linspace(0, l_n, div + 1)`` there, clipped
-    to ``l_n``; the caller sets the point of index ``div`` to ``l_n``.
-    """
-    import numpy as np
-
-    # numpy.linspace's two branches; the second keeps a subnormal l_n
-    if step:
-        index *= step
-    else:
-        index /= div
-        index *= s.l_n
-    # a subnormal step can round up, which takes linspace's last points past l_n
-    return np.minimum(index, s.l_n, out=index)
-
-
 def oracle_grid_argmax(s: Scenario, n: int) -> float:
     """Brute-force argmax of the net surplus on a uniform n-point grid.
 
@@ -514,19 +500,23 @@ def oracle_grid_argmax(s: Scenario, n: int) -> float:
     result is the same float as that whole grid's argmax.  It uses no
     root or bracket of the solver, only the model's surplus and bounds.
 
-    The search bounds before it walks, one pass per width of
-    ``_SUB_BLOCK``: the first cuts the grid into pieces of 4,096 points,
-    the second cuts each piece the first kept into pieces of 64.
-    ``model._surplus_bounds`` evaluates the surplus at the pieces' end
-    points, grid points all, and from the same terms bounds it over each
-    piece.  The threshold is the largest value at any end evaluated so
-    far, so it only rises and the grid attains it; a piece is dropped when
-    its bound plus a slack lies strictly below it.  The kept pieces of the
-    last pass are walked in blocks of at most ``ORACLE_BLOCK`` points, one
-    ``net_surplus`` call each on the block's grid, keeping each block's
-    first maximum and then the first block holding the overall one.  A
-    pass bounds its pieces in chunks of about ``ORACLE_BLOCK`` ends, so
-    memory is O(block) plus 8 bytes per kept piece, not O(n).
+    The search makes one pass per width of ``_SUB_BLOCK``: the first cuts
+    the grid into pieces of 4,096 points, the second cuts each piece the
+    first kept into pieces of 64, and the last cuts those into single
+    points.  A pass evaluates its pieces' end points, grid points all, in
+    chunks of about ``ORACLE_BLOCK`` ends, so memory is O(block) plus 8
+    bytes per kept piece, not O(n).  The last pass is the walk: one
+    ``net_surplus`` call per chunk, keeping each chunk's first maximum and
+    then the first chunk holding the overall one.  The passes before it
+    call ``model._surplus_bounds``, which evaluates the surplus at the
+    ends and from the same terms bounds it over each piece.  The
+    threshold is the largest value at any end of a trusted chunk so far,
+    so it only rises and the grid attains it; a trusted chunk drops a
+    piece when its bound plus a slack lies strictly below it.  A chunk
+    whose bounds cannot be trusted keeps all its pieces: where the step
+    underflows to 0 (a subnormal ``l_n``), where the chunk's top value or
+    a bound is not finite, or where the slack is not finite or lies below
+    the smallest normal float, so that rounding errs in absolute terms.
 
     The slack is ``64 eps S``, with ``S = C + C alpha_n + (pi_s + k) l_n``
     from ``_surplus_bounds``, the largest magnitude any term of a value
@@ -538,64 +528,58 @@ def oracle_grid_argmax(s: Scenario, n: int) -> float:
     by under 6 eps; the products and sums after it add a few half-ulps
     of ``S``.  A computed value or bound thus lies within ``8 eps S`` of
     its exact counterpart, and two evaluations of one point differ by at
-    most twice that.  The final threshold's point is walked: it is an end
-    of the piece whose points hold it (its first point, or the last point
-    of the grid), and, as each width divides the one before, of that
-    piece's piece at every later pass; that piece's bound covers the
+    most twice that.  The final threshold's point is evaluated by the
+    last pass: it is an end of the piece whose points hold it (its first
+    point, or the last point of the grid), and, as each width divides the
+    one before, of that piece's piece at every later pass; there either
+    the chunk keeps all its pieces, or the piece's bound covers the
     point's value within ``16 eps S``, so it is kept at any threshold up
-    to the final one.  A point of a dropped piece then evaluates below
-    its exact bound plus ``8 eps S``, below the computed bound plus ``16
-    eps S``, below the threshold of its pass, so the final one, less ``48
-    eps S``, and below the walk's own value at the final threshold's
+    to the final one.  A point of a dropped piece evaluates below its
+    exact bound plus ``8 eps S``, below the computed bound plus ``16 eps
+    S``, below the threshold of its pass, so the final one, less ``48 eps
+    S``, and below the last pass's own value at the final threshold's
     point less ``32 eps S``: strictly below a value the walk sees, with a
     factor two to spare.  So dropping moves neither the argmax nor its
-    first-index ties.  The oracle walks the whole grid instead when the
-    step underflows to 0 (a subnormal ``l_n``), or when at the first pass
-    the threshold, a bound or the slack is not finite or the slack is
-    below the smallest normal float, where rounding errs in absolute
-    terms; a later pass that fails those tests leaves the pieces of the
-    pass before.
+    first-index ties.
     """
     n = _grid_points("n", n, MAX_ORACLE_POINTS)
     import numpy as np
 
     div = n - 1
     step = s.l_n / div
-    starts, width = np.zeros(1, dtype=np.int64), n  # the whole grid, walked if no pass succeeds
-    threshold = -math.inf
-    for w in _SUB_BLOCK if step else ():
+    kept, threshold = [np.zeros(1, dtype=np.int64)], -math.inf  # the whole grid, one piece
+    points, values = [], []
+    for width, w in zip((n,) + _SUB_BLOCK, _SUB_BLOCK):
+        starts, kept = np.concatenate(kept), []
         cuts = np.arange(0, width + w, w)  # a kept piece's new ends, from its start
         rows = ORACLE_BLOCK // cuts.size
-        kept = []
         for i in range(0, starts.size, rows):
             index = starts[i : i + rows, None] + cuts
             ends = np.minimum(index, div).astype(np.float64)
-            _grid_losses(ends, s, step, div)[index >= div] = s.l_n
+            # numpy.linspace's two branches; the second keeps a subnormal l_n
+            if step:
+                ends *= step
+            else:
+                ends /= div
+                ends *= s.l_n
+            # a subnormal step can round up, which takes linspace's last points past l_n
+            np.minimum(ends, s.l_n, out=ends)
+            ends[index >= div] = s.l_n
+            if w == 1:  # one-point pieces need no bounds
+                at_ends = net_surplus(s, ends).ravel()
+                j = int(np.argmax(at_ends))
+                points.append(ends.flat[j])
+                values.append(at_ends[j])
+                continue
             at_ends, bounds, scale = _surplus_bounds(s, ends)
             top = at_ends.max()
             slack = 64 * sys.float_info.epsilon * scale
-            if not (math.isfinite(top) and sys.float_info.min <= slack < math.inf and np.isfinite(bounds).all()):
-                break
-            threshold = max(threshold, top)
             lows = index[:, :-1]
-            kept.append(lows[(bounds + slack >= threshold) & (lows < n)])
-        else:  # no chunk failed the tests
-            starts, width = np.concatenate(kept), w
-            continue
-        break  # a failed pass leaves the previous pass's pieces
-    stops = np.minimum(starts + width, n)
-    # where the runs of touching pieces start and end
-    runs = np.concatenate(([True], starts[1:] != stops[:-1], [True]))
-    points, values = [], []
-    for lo, hi in zip(starts[runs[:-1]].tolist(), stops[runs[1:]].tolist()):
-        for start in range(lo, hi, ORACLE_BLOCK):
-            stop = min(start + ORACLE_BLOCK, hi)
-            grid = _grid_losses(np.arange(start, stop, dtype=np.float64), s, step, div)
-            if stop == n:
-                grid[-1] = s.l_n
-            block = net_surplus(s, grid)
-            i = int(np.argmax(block))
-            points.append(grid[i])
-            values.append(block[i])
-    # each block's first maximum, then the first block holding the overall one
+            # pieces past the grid go; a chunk whose bounds cannot be trusted keeps the rest
+            keep = lows < n
+            if step and math.isfinite(top) and sys.float_info.min <= slack < math.inf and np.isfinite(bounds).all():
+                threshold = max(threshold, top)
+                keep &= bounds + slack >= threshold
+            kept.append(lows[keep])
+    # each chunk's first maximum, then the first chunk holding the overall one
     return float(points[int(np.argmax(values))])

@@ -101,6 +101,15 @@ OVERFLOWING_BOUND = {
     "l_n": 1e4, "pi_s": 1e-4, "pi_c_star": 1e-4,
 }
 
+#: 1 < nu < 1 + theta scenario whose uniqueness bound, about 8.0e-301,
+#: is positive, but whose linear formula underflows to 0 on the way; with
+#: nu = 1 and l_n = 1e-299 its band edges, about 6.7e-301 and 5e-298, do too
+UNDERFLOWING_BOUND = {
+    "q_star": 1e-200, "p_star": 1e-200, "price": 0.0,
+    "nu": 1.2, "theta": 0.5, "alpha_n": 1e100,
+    "l_n": 1e-305, "pi_s": 1e-3, "pi_c_star": 0.5,
+}
+
 #: nu == 1 scenario with a subnormal pi_c*: the lower band edge lies
 #: beyond the float range, and so does the secure quasi-elasticity in pi_c*
 TINY_RISK = {

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 import _oracle
 from _gradcheck import relative_gradient_error
-from conftest import _log_uniform, boundary_scenarios, fuzz_scenarios, make_random_scenario, wide_scenarios
+from conftest import (
+    FLAT_SURPLUS,
+    _log_uniform,
+    boundary_scenarios,
+    fuzz_scenarios,
+    make_random_scenario,
+    wide_scenarios,
+)
 from privopt import (
     DomainError,
     Scenario,
@@ -244,6 +251,25 @@ class TestValidDemandRegion:
         region = valid_demand_region(table2, 125.0, 1e-9)
         assert not region.is_empty
         assert region.upper - region.lower < 0.02
+
+    @given(
+        s=fuzz_scenarios() | wide_scenarios(),
+        x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        alpha=_log_uniform(1e-323, 1e150),
+    )
+    # q1/q* at and next to 1/2, where the rounded 1 - x can round up
+    @example(s=Scenario(**FLAT_SURPLUS), x=0.5, alpha=5e-324)
+    @example(s=Scenario(**FLAT_SURPLUS), x=0.5 - 2**-54, alpha=5e-324)
+    @example(s=Scenario(**FLAT_SURPLUS), x=0.5 - 3 * 2**-54, alpha=5e-324)
+    @example(s=Scenario(**FLAT_SURPLUS), x=0.5 + 2**-53, alpha=5e-324)
+    @settings(max_examples=200, deadline=None)
+    def test_finite_alpha_gives_no_nan_bound(self, s, x, alpha):
+        # 4 x (1 - x) rounds to at most 1 and 1 + alpha >= 1, so the
+        # discriminant is never negative; (1 + alpha) q* stays finite here
+        q1 = x * s.q_star
+        assume(0.0 < q1 < s.q_star)
+        region = valid_demand_region(s, q1, alpha)
+        assert not any(math.isnan(bound) for bound in dataclasses.astuple(region)), region
 
     def test_q1_out_of_range(self, table2):
         for q1 in (0.0, 250.0, -5.0, 260.0):

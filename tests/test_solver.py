@@ -23,6 +23,7 @@ from conftest import (
     SUBNORMAL_CAP,
     TINY_OPTIMUM,
     TINY_RISK,
+    UNDERFLOWING_BOUND,
     boundary_scenarios,
     fuzz_scenarios,
     make_random_scenario,
@@ -237,6 +238,26 @@ class TestFeasibilityReport:
         (cond,) = rep.conditions
         assert (cond.name, cond.bound, cond.satisfied) == ("band_lower_edge", None, False)
         assert not rep.guaranteed_unique
+
+    def test_underflowing_bound_comes_from_logs(self):
+        # the linear formula underflows to 0, which would read l_n = 1e-305
+        # as past the bound
+        s = Scenario(**UNDERFLOWING_BOUND)
+        rep = feasibility_report(s)
+        (cond,) = rep.conditions
+        assert cond.bound == pytest.approx(float(_oracle.sufficient_bound(s, s.margin())), rel=1e-12)
+        assert cond.satisfied and rep.guaranteed_unique
+
+    def test_underflowing_band_comes_from_logs(self):
+        # both band edges underflow to 0 in the linear formula, which would
+        # read l_n as above the upper edge; the band holds it
+        s = dataclasses.replace(Scenario(**UNDERFLOWING_BOUND), nu=1.0, l_n=1e-299)
+        rep = feasibility_report(s)
+        lower, upper = rep.conditions
+        lo_ref, hi_ref = _oracle.nu_eq_1_band(s)
+        assert lower.bound == pytest.approx(float(lo_ref), rel=1e-12)
+        assert upper.bound == pytest.approx(float(hi_ref), rel=1e-12)
+        assert lower.satisfied and upper.satisfied and rep.guaranteed_unique
 
     @pytest.mark.parametrize("pi_s", [1e-4, 0.0])
     def test_finite_bounds_keep_the_linear_formula(self, table2, pi_s):
@@ -585,6 +606,20 @@ class TestSolveDiscrete:
             solve_discrete(table2, [1000.0, table2.l_n * 2])
 
 
+#: Ends a row of the oracle's last pass reads: a 64-point piece and the
+#: start of the next
+ENDS_PER_ROW = 65
+
+
+def last_pass_sizes(pieces: int) -> list:
+    """Sizes of the oracle's net_surplus calls when its last pass reads
+    ``pieces`` 64-point pieces: chunks of as many rows as ORACLE_BLOCK
+    ends hold."""
+    rows = ORACLE_BLOCK // ENDS_PER_ROW
+    full, rest = divmod(pieces, rows)
+    return [rows * ENDS_PER_ROW] * full + [rest * ENDS_PER_ROW] * (rest > 0)
+
+
 class TestOracleGridArgmax:
     def test_reference_grid(self, table2):
         best = oracle_grid_argmax(table2, 1_000_000)
@@ -656,9 +691,9 @@ class TestOracleGridArgmax:
             assert peak < 4 * 2**20, s
 
     def test_one_working_set_per_call(self, table2, monkeypatch):
-        # each net_surplus call evaluates one block of at most ORACLE_BLOCK
-        # points; the bounds skip most of the blocks a full walk of this
-        # grid takes
+        # only the last pass calls net_surplus, once per chunk of at most
+        # ORACLE_BLOCK ends; the bounds skip most of the blocks a full walk
+        # of this grid takes
         sizes = []
 
         def recording(s, grid):
@@ -668,18 +703,21 @@ class TestOracleGridArgmax:
         monkeypatch.setattr(privopt.solver, "net_surplus", recording)
         oracle_grid_argmax(table2, 10**6)
         assert 0 < len(sizes) < -(-(10**6) // ORACLE_BLOCK) and max(sizes) <= ORACLE_BLOCK
-        # the 64-point pass walks 14,464 points here, where the 4,096-point
-        # sub-blocks alone took 114,688; the bound leaves 24 pieces for skip
-        # decisions that move with numpy's rounding
-        assert sum(sizes) <= 14_464 + 24 * 64
-        # a flat surplus keeps every piece: its walk is the whole grid
-        sizes.clear()
-        oracle_grid_argmax(Scenario(**FLAT_SURPLUS), 10**6)
-        assert sizes == [ORACLE_BLOCK] * (10**6 // ORACLE_BLOCK) + [10**6 % ORACLE_BLOCK]
+        # the 64-point pass keeps 226 pieces here, where the 4,096-point
+        # pieces alone held 114,688 points; the bound leaves 24 pieces for
+        # skip decisions that move with numpy's rounding
+        assert sum(sizes) <= (226 + 24) * ENDS_PER_ROW
+        # a flat surplus keeps every piece: the last pass reads the whole
+        # grid, and at 16,129 points it ends in the one-point piece of l_n
+        for n in (10**6, 16_129):
+            sizes.clear()
+            oracle_grid_argmax(Scenario(**FLAT_SURPLUS), n)
+            assert sizes == last_pass_sizes(-(-n // 64)), n
 
     def test_failed_pass_walks_the_pieces_kept_before(self, table2, monkeypatch):
-        # a later pass whose bounds are not finite leaves the 4,096-point
-        # sub-blocks the first pass kept, not the whole grid
+        # a NaN bound in the second pass's one chunk keeps every piece of
+        # that chunk: the last pass reads the 4,096-point pieces the first
+        # pass kept, not the whole grid
         kept, sizes = [], []
 
         def failing(s, ends):
@@ -697,41 +735,60 @@ class TestOracleGridArgmax:
         monkeypatch.setattr(privopt.solver, "_surplus_bounds", failing)
         monkeypatch.setattr(privopt.solver, "net_surplus", recording)
         best = oracle_grid_argmax(table2, 10**6)
-        assert sum(sizes) == kept[0] * 4096 < 10**6
+        assert sizes == last_pass_sizes(kept[0] * 64) and kept[0] * 4096 < 10**6
         assert best == _oracle.grid_argmax(table2, 10**6)
 
-    @pytest.mark.parametrize(
-        "params, n, bounded",
-        [
-            # the step underflows to 0: no end points to bound
-            (SUBNORMAL_CAP, 200_001, False),
-            # C = 0 and (pi_s + k) l_n = 1e-303: the slack is subnormal
-            ({**SUBNORMAL_CAP, "price": 1.0, "l_n": 1e-300, "pi_c_star": 1e-3}, 100_001, True),
-            # C (1 + alpha_n) = 1e308 and (pi_s + k) l_n = 1.425e308: the slack is inf
-            ({**SUBNORMAL_CAP, "q_star": 1e308, "alpha_n": 1.0, "l_n": 1.5e308, "pi_s": 0.9}, 100_001, True),
-        ],
-        ids=["underflowing-step", "subnormal-slack", "infinite-slack"],
-    )
-    def test_fallback_walks_the_whole_grid(self, params, n, bounded, monkeypatch):
-        # every block of the full walk, whether or not the bounds were
-        # computed (``bounded``) before the oracle gave them up
-        s = Scenario(**params)
-        sizes, bounds_calls = [], []
+    def test_untrusted_chunk_leaves_later_chunks_dropping(self, table2, monkeypatch):
+        # a NaN bound in the first pass keeps all 245 of its pieces and
+        # raises no threshold; the second pass bounds them in two chunks,
+        # which still drop pieces, so the last pass reads about what it
+        # reads without the NaN
+        shapes, sizes = [], []
+
+        def failing(s, ends):
+            values, bounds, scale = _surplus_bounds(s, ends)
+            if not shapes:
+                bounds[0, 0] = math.nan
+            shapes.append(ends.shape)
+            return values, bounds, scale
 
         def recording(s, grid):
             sizes.append(grid.size)
             return net_surplus(s, grid)
 
-        def counting(s, ends):
-            bounds_calls.append(ends.size)
-            return _surplus_bounds(s, ends)
+        monkeypatch.setattr(privopt.solver, "_surplus_bounds", failing)
+        monkeypatch.setattr(privopt.solver, "net_surplus", recording)
+        best = oracle_grid_argmax(table2, 10**6)
+        assert shapes == [(1, 246), (126, 65), (119, 65)]
+        assert sum(sizes) <= (226 + 24) * ENDS_PER_ROW
+        assert best == _oracle.grid_argmax(table2, 10**6)
+
+    @pytest.mark.parametrize(
+        "params, n",
+        [
+            # the step underflows to 0: the bounds are not trusted, though
+            # with a surplus rising by alpha_n = 1 they would drop pieces
+            ({**SUBNORMAL_CAP, "alpha_n": 1.0}, 200_001),
+            # C = 0 and (pi_s + k) l_n = 1e-303: the slack is subnormal
+            ({**SUBNORMAL_CAP, "price": 1.0, "l_n": 1e-300, "pi_c_star": 1e-3}, 100_001),
+            # C (1 + alpha_n) = 1e308 and (pi_s + k) l_n = 1.425e308: the slack is inf
+            ({**SUBNORMAL_CAP, "q_star": 1e308, "alpha_n": 1.0, "l_n": 1.5e308, "pi_s": 0.9}, 100_001),
+        ],
+        ids=["underflowing-step", "subnormal-slack", "infinite-slack"],
+    )
+    def test_fallback_walks_the_whole_grid(self, params, n, monkeypatch):
+        # every chunk keeps all its pieces, so the last pass reads every
+        # 64-point piece of the grid
+        s = Scenario(**params)
+        sizes = []
+
+        def recording(s, grid):
+            sizes.append(grid.size)
+            return net_surplus(s, grid)
 
         monkeypatch.setattr(privopt.solver, "net_surplus", recording)
-        monkeypatch.setattr(privopt.solver, "_surplus_bounds", counting)
         best = oracle_grid_argmax(s, n)
-        full, rest = divmod(n, ORACLE_BLOCK)
-        assert len(bounds_calls) == bounded
-        assert sizes == [ORACLE_BLOCK] * full + [rest]
+        assert sizes == last_pass_sizes(-(-n // 64))
         assert best == _oracle.grid_argmax(s, n)
 
     @given(
@@ -742,6 +799,14 @@ class TestOracleGridArgmax:
     @example(s=Scenario(**SUBNORMAL_CAP), n=32769)
     @example(s=SWAMPED_GAIN, n=10**6)
     @example(s=Scenario(**FLAT_SURPLUS), n=10**6)
+    # the last point is a one-point piece of the second pass (65) or of the
+    # first (4,097), and it holds the maximum
+    @example(s=SUBCASE_B_CLAMPED, n=65)
+    @example(s=SUBCASE_B_CLAMPED, n=4097)
+    # the last pass spans three chunks, the third the one-point piece of l_n
+    @example(s=Scenario(**FLAT_SURPLUS), n=16_129)
+    # 16,128 steps of l_n / 16,128 round below l_n, where the maximum lies
+    @example(s=dataclasses.replace(SUBCASE_B_CLAMPED, l_n=65120.721830445305), n=16_129)
     @settings(max_examples=100, deadline=None)
     def test_bounded_walk_matches_the_full_grid(self, s, n):
         # the skip rule never moves the argmax or its first-index ties,
@@ -759,6 +824,9 @@ class TestOracleGridArgmax:
         n=st.sampled_from([2, 3, ORACLE_BLOCK - 1, ORACLE_BLOCK + 1, 2 * ORACLE_BLOCK, 200_001]),
     )
     @example(s=Scenario(**SUBNORMAL_CAP), n=200_001)
+    @example(s=SUBCASE_A_INTERIOR, n=65)
+    @example(s=SUBCASE_A_INTERIOR, n=4097)
+    @example(s=Scenario(**SUBNORMAL_CAP), n=16_129)
     @settings(max_examples=60, deadline=None)
     def test_blocks_match_the_full_grid(self, s, n):
         assert oracle_grid_argmax(s, n) == _oracle.grid_argmax(s, n)
