@@ -258,9 +258,10 @@ def valid_demand_region(s: Scenario, q1: float, alpha: float) -> ConsumptionRegi
     # 0 < x < 1 keeps the rounded 4 x (1 - x) at most 1, so disc >= 0
     disc = 1.0 - 4.0 * x * (1.0 - x) / (1.0 + alpha)
     root = math.sqrt(disc)
-    half = (1.0 + alpha) * s.q_star / 2.0
-    provider_lower = half * (1.0 - root)
-    provider_upper = half * (1.0 + root)
+    provider_upper = (1.0 + alpha) * s.q_star / 2.0 * (1.0 + root)
+    # the product of the roots, (1+alpha) (q*-q1) q1, over the upper one:
+    # half (1 - root) cancels as alpha grows (Goldberg 1991)
+    provider_lower = 2.0 * q1 * ((s.q_star - q1) / s.q_star) / (1.0 + root)
     lower = max(customer, provider_lower)
     return ConsumptionRegion(
         float(lower),
@@ -410,9 +411,14 @@ def _surplus_bounds(s: Scenario, ends) -> tuple:
 
 def _log_product(*factors) -> float:
     """``log`` of a product of positive floats, summed term by term only
-    when the product itself under- or overflows."""
-    p = math.prod(factors)
-    return math.log(p) if 0.0 < p < math.inf else math.fsum(map(math.log, factors))
+    where the product, or a product on the way, is not a normal float: it
+    overflowed, or lost digits to underflow."""
+    p = 1.0
+    for x in factors:
+        p *= x
+        if not sys.float_info.min <= p < math.inf:
+            return math.fsum(map(math.log, factors))
+    return math.log(p)
 
 
 def _log_parts(s: Scenario) -> tuple:

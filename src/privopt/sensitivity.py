@@ -18,8 +18,10 @@ solve, so evaluation order never changes the output.  A sweep checks its
 whole grid once and sets up the price-free half of the solve once
 (``solver._setup``); each price then costs only the per-price step
 (``solver._search``), which takes the price as an argument, so no point
-copies or re-validates the scenario.  The OLR sweep's secure-provider
-column is the same step on one ``pi_s = 0`` copy of the scenario.
+copies or re-validates the scenario.  ``price_sweep`` is that loop; the
+revenue and OLR sweeps read its series, and the OLR sweep's
+secure-provider column is the same step on one ``pi_s = 0`` copy of the
+scenario.
 """
 
 from __future__ import annotations
@@ -231,15 +233,17 @@ def default_price_grid(s: Scenario, pmin: float = 0.0, pmax: float | None = None
     return tuple(pmin + (i * step if step else i / div * delta) for i in range(div)) + (pmax,)
 
 
-def _solve_grid(s: Scenario, grid, sat: float | None = None) -> SweepSeries:
-    """The price series of ``s`` on ``grid``.
+def price_sweep(s: Scenario, grid) -> SweepSeries:
+    """Optimal loss and provider revenue across a price grid.
 
-    The grid is checked once, before any solve: every price becomes a
-    float with ``0 <= p < p_star``, a comparison that NaN fails too, and
-    the prices must increase strictly.  The price-free half of the solve,
-    ``solver._setup``, runs once; each price then costs one ``_search``
-    step.  Neither that step nor the revenue ``p q(p)`` reads ``s.price``,
-    so no point copies ``s``.
+    The grid is checked once, as a whole, before any solve: every price
+    becomes a float with ``0 <= p < p_star``, a comparison that NaN fails
+    too, and the prices must increase strictly.  The price-free half of
+    the solve, ``solver._setup``, runs once; each price then costs one
+    ``_search`` step.  Neither that step nor the revenue ``p q(p)`` reads
+    ``s.price``, so no point copies ``s``.  For ``nu < 1`` the loss series
+    is non-increasing in the price: a flat stretch at the cap below the
+    saturation price, strictly falling above it.
     """
     grid = tuple(float(p) for p in grid)
     p_star = s.p_star
@@ -259,20 +263,8 @@ def _solve_grid(s: Scenario, grid, sat: float | None = None) -> SweepSeries:
         l_opt=tuple(l_opt),
         revenue=tuple(revenue),
         statuses=tuple(statuses),
-        saturation_price=sat,
+        saturation_price=saturation_price(s) if setup[0] is Regime.NU_LT_1 else None,
     )
-
-
-def price_sweep(s: Scenario, grid) -> SweepSeries:
-    """Optimal loss and provider revenue across a price grid.
-
-    The grid is checked once, as a whole; each point re-solves ``s`` at
-    that price.  For ``nu < 1`` the loss series is
-    non-increasing in the price: a flat stretch at the cap below the
-    saturation price, strictly falling above it.
-    """
-    sat = saturation_price(s) if classify_regime(s) is Regime.NU_LT_1 else None
-    return _solve_grid(s, grid, sat)
 
 
 def revenue_sweep(s: Scenario, grid) -> tuple:
@@ -288,18 +280,18 @@ def olr_sweep(s: Scenario, grid) -> SweepSeries:
     """Optimal Loss Ratio across a price grid.
 
     Requires a vulnerable provider (``pi_s > 0``), otherwise the ratio is
-    identically 1.  The grid is checked and solved as in ``price_sweep``,
-    and the secure-side optimum of each point is the same per-price step
-    on one copy of ``s`` with ``pi_s = 0``, which equals
-    ``secure_feasible_loss`` there.  The reported saturation price is the
-    kink where the secure-side optimum leaves the cap; below both
-    saturation points the ratio is exactly 1.  Grid points where the ratio is undefined, as in
+    identically 1.  The vulnerable column is ``price_sweep``'s, and the
+    secure-side optimum of each point is the same per-price step on one
+    copy of ``s`` with ``pi_s = 0``, which equals ``secure_feasible_loss``
+    there.  The reported saturation price is the kink where the
+    secure-side optimum leaves the cap; below both saturation points the
+    ratio is exactly 1.  Grid points where the ratio is undefined, as in
     ``optimal_loss_ratio`` (a vulnerable optimum of 0, or a ratio beyond
     the float range), yield NaN.
     """
     if s.pi_s <= 0.0:
         raise UsageError("OLR sweep needs pi_s > 0; the ratio is identically 1 otherwise")
-    series = _solve_grid(s, grid)
+    series = price_sweep(s, grid)
     secure = replace(s, pi_s=0.0)
     setup = _setup(secure)
     ratios = (

@@ -29,9 +29,11 @@ A brute-force grid oracle is included for validation only.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .errors import NumericError, UsageError, ValidationError
 from .model import (
@@ -151,7 +153,7 @@ class FeasibilityCondition:
     """One condition on ``l_n``: ``bound`` is the edge ``l_n`` is compared
     against, None where it is not a float: it lies beyond the float range,
     or an overflow in its formula meets a zero margin.  A bound whose
-    linear formula overflows on the way comes from its logs instead.
+    linear formula over- or underflows on the way comes from its logs instead.
     ``satisfied`` is the comparison with the value the formula gave."""
 
     name: str
@@ -207,13 +209,17 @@ def classify_regime(s: Scenario) -> Regime:
     return _SUBCASE_B
 
 
-def _feasibility_bound(linear: float, log_factor: float, m: float, divisor: float) -> float:
-    """A feasibility bound ``factor m**2 / divisor`` as its linear formula
-    gave it, ``linear``; where that overflowed, or fell below the normal
-    range at a positive margin ``m``, the same bound from logs,
+def _feasibility_bound(factors: tuple, log_factor: float, m: float, divisor: float) -> float:
+    """A feasibility bound ``factors[0] * factors[1] * ... / divisor``, one
+    factor ``m**2``, as its linear formula gives it, left to right; where a
+    product on the way or the bound is not a normal float at a positive
+    margin ``m``, so that digits may be lost, the same bound from logs,
     ``log_factor + 2 log m - log divisor``, which is ``inf`` or 0 only
-    where the bound itself lies beyond the float range."""
-    if sys.float_info.min <= linear < math.inf or not m > 0.0:
+    where the bound itself lies beyond the float range.  A positive margin
+    is at least 2**-53, so ``m**2`` itself is normal."""
+    products = tuple(accumulate(factors, operator.mul))
+    linear = products[-1] / divisor
+    if not m > 0.0 or all(sys.float_info.min <= x < math.inf for x in (*products, linear)):
         return linear
     return _exp(log_factor + 2.0 * math.log(m) - math.log(divisor))
 
@@ -230,22 +236,22 @@ def feasibility_report(s: Scenario) -> FeasibilityReport:
     """
     regime = classify_regime(s)
     m = s.margin()
-    margin2 = m**2
     risk = _cap_risk(s)
     if regime is _NU_LT_1:
         return FeasibilityReport(regime=regime, conditions=(), guaranteed_unique=True)
     if regime in (_SUBCASE_A, _SUBCASE_B):
-        bound = s.alpha_n * (s.q_star * s.p_star * s.nu / 2.0) * margin2 / risk
-        bound = _feasibility_bound(bound, _log_parts(s)[0], m, risk)
+        # alpha_n (q* p* nu / 2) m**2 / risk
+        factors = (s.q_star, s.p_star, s.nu, 0.5, s.alpha_n, m**2)
+        bound = _feasibility_bound(factors, _log_parts(s)[0], m, risk)
         cond = FeasibilityCondition("sufficient_l_n_upper_bound", bound, s.l_n < bound)
         return FeasibilityReport(regime=regime, conditions=(cond,), guaranteed_unique=cond.satisfied)
     if regime is _NU_EQ_1:
-        base = (s.q_star * s.p_star / 2.0) * margin2 * s.alpha_n
+        base = (s.q_star, s.p_star, 0.5, m**2, s.alpha_n)  # (q* p* / 2) m**2 alpha_n
         log_base = _log_product(0.5, s.q_star, s.p_star, s.alpha_n)
-        lower = _feasibility_bound(base / risk, log_base, m, risk)
+        lower = _feasibility_bound(base, log_base, m, risk)
         conditions = (FeasibilityCondition("band_lower_edge", lower, s.l_n > lower),)
         if s.pi_s > 0:  # with pi_s == 0 the band has no upper edge
-            upper = _feasibility_bound(base / s.pi_s, log_base, m, s.pi_s)
+            upper = _feasibility_bound(base, log_base, m, s.pi_s)
             conditions += (FeasibilityCondition("band_upper_edge", upper, s.l_n < upper),)
         unique = all(c.satisfied for c in conditions)
         return FeasibilityReport(regime=regime, conditions=conditions, guaranteed_unique=unique)
@@ -337,64 +343,63 @@ def _setup(s: Scenario) -> tuple:
 def _search(s: Scenario, setup: tuple, price: float) -> tuple:
     """``(l_opt, roots, bracket)`` of ``s`` at ``price`` from ``_setup(s)``,
     roots and bracket in ``t``, with ``solve_tradeoff``'s errors; ``s.price``
-    is not read.  Where the ranking needs no root (the cap test, ``nu > 1 +
-    theta``), ``roots`` is the search not yet run, for ``solve_tradeoff``."""
+    is not read.  Each arm names what its ranking compares: the ends where a
+    stationary point may be a minimum, and the maximum ``t_max``.  A root
+    search the ranking does not read is left in ``roots`` unrun, for
+    ``solve_tradeoff``: the cap test's, ``SUBCASE_A``'s minimum and
+    ``nu > 1 + theta``'s."""
     regime, parts, d = setup
     m = _margin(s, price)
-    roots, bracket, ends = (), None, ()
     if m == 0.0:
         # price at or above willingness-to-pay: only the loss term remains
-        candidates = (0.0,)
+        return 0.0, (), None
+    h, la, lb, lp, lr = _decision_equation(s, parts, m)
+    nu1, theta = s.nu - 1.0, s.theta
+    roots, t_max, bracket, ends = (), None, None, ()
+    if s.pi_s == 0.0 and abs(d) > REGIME_TOL:
+        # breach-proof: h = lr - d*t, whose one root, the crossing of the two
+        # power terms, is the secure closed form, bit for bit, and a maximum
+        # where h falls (d > 0)
+        t_u = lr / d
+        roots = (t_u,)
+        t_max, ends = (t_u, ()) if d > 0.0 else (None, (0.0, s.l_n))
+        bracket = (t_u, t_u) if regime is _NU_LT_1 else None
+    elif regime is _NU_EQ_1:
+        if la > lp:
+            t_max = (la + math.log(-math.expm1(lp - la)) - lb) / theta
+            roots = (t_max,)
+    elif regime is _NU_EQ_1_PLUS_THETA:
+        # h = la - lb - log1p(pi_s / (b l**theta)) rises: its root is a minimum
+        ends = (0.0, s.l_n)
+        if la > lb and s.pi_s > 0.0:
+            roots = ((lp - la - math.log(-math.expm1(lb - la))) / theta,)
     else:
-        h, la, lb, lp, lr = _decision_equation(s, parts, m)
-        nu1, theta = s.nu - 1.0, s.theta
-        if s.pi_s == 0.0 and abs(d) > REGIME_TOL:
-            # breach-proof: h = lr - d*t, whose one root, the crossing of the
-            # two power terms, is the secure closed form, bit for bit
-            t_u = lr / d
-            roots = (t_u,)
-            if regime is _NU_LT_1:
-                bracket = (t_u, t_u)
-        elif regime is _NU_EQ_1:
-            if la > lp:
-                roots = ((la + math.log(-math.expm1(lp - la)) - lb) / theta,)
-        elif regime is _NU_EQ_1_PLUS_THETA:
-            # h = la - lb - log1p(pi_s / (b l**theta)) rises to la - lb
-            if la > lb and s.pi_s > 0.0:
-                roots = ((lp - la - math.log(-math.expm1(lb - la))) / theta,)
+        t_u = (la - lb) / d  # crossing of the two power terms
+        if regime is _SUBCASE_A:
+            ends = (0.0, s.l_n)  # the ends compete with the maximum
+            t_peak = (lp + math.log(nu1 / d) - lb) / theta
+            if h(t_peak) > 0.0:
+                # h <= la + (nu-1) t - log pi_s and h <= la - lb - d t
+                t_max = brentq(h, t_peak, t_u + 1.0 / d)
+                roots = lambda: (brentq(h, (lp - la - 1.0) / nu1, t_peak), t_max)  # noqa: E731
+        elif regime is _SUBCASE_B:
+            # h rises: its root is a minimum; by the same bounds (d < 0) h <= -1
+            # below lo, and h >= la + (nu-1) t - max(log pi_s, lb + theta t) - log 2
+            # is at least 2 - log 2 above hi
+            ends = (0.0, s.l_n)
+            lo = max((lp - la - 1.0) / nu1, t_u + 1.0 / d)
+            hi = max((lp - la + 2.0) / nu1, t_u - 2.0 / d)
+            roots = lambda: (brentq(h, lo, hi),)  # noqa: E731
         else:
-            t_u = (la - lb) / d  # crossing of the two power terms
-            if regime is _SUBCASE_A:
-                t_peak = (lp + math.log(nu1 / d) - lb) / theta
-                if h(t_peak) > 0.0:
-                    # h <= la + (nu-1) t - log pi_s and h <= la - lb - d t
-                    roots = (
-                        brentq(h, (lp - la - 1.0) / nu1, t_peak),
-                        brentq(h, t_peak, t_u + 1.0 / d),
-                    )
-                ends = (0.0, s.l_n)  # the ends compete with the maximum
-            elif regime is _SUBCASE_B:
-                # h rises; by the same bounds (d < 0) h <= -1 below lo, and
-                # h >= la + (nu-1) t - max(log pi_s, lb + theta t) - log 2
-                # is at least 2 - log 2 above hi
-                lo = max((lp - la - 1.0) / nu1, t_u + 1.0 / d)
-                hi = max((lp - la + 2.0) / nu1, t_u - 2.0 / d)
-                roots = lambda: (brentq(h, lo, hi),)  # noqa: E731
-            else:
-                # h >= 1 left of t_l - 1/(1-nu) and h <= -1 right of t_u + 1/d
-                t_l = _logaddexp(nu1 * t_u, lp - la) / nu1
-                bracket = (t_l, t_u)
-                roots = lambda: (brentq(h, t_l + 1.0 / nu1, t_u + 1.0 / d),)  # noqa: E731
-                if h(parts[1]) < 0.0:  # h(log l_n); else the surplus still rises at l_n
-                    roots = roots()
-        if regime in (_SUBCASE_B, _NU_EQ_1_PLUS_THETA):
-            candidates = (0.0, s.l_n)  # the stationary point is a minimum
-        elif callable(roots):
-            candidates = (s.l_n,)  # the cap test's
-        else:
-            # the last root is the maximum; without one the surplus falls
-            candidates = ((min(_exp(roots[-1]), s.l_n),) if roots else (0.0,)) + ends
-
+            # h >= 1 left of t_l - 1/(1-nu) and h <= -1 right of t_u + 1/d
+            t_l = _logaddexp(nu1 * t_u, lp - la) / nu1
+            bracket = (t_l, t_u)
+            roots = lambda: (brentq(h, t_l + 1.0 / nu1, t_u + 1.0 / d),)  # noqa: E731
+            t_max = math.inf  # the cap test: h(log l_n) >= 0, the surplus still rises at l_n
+            if h(parts[1]) < 0.0:
+                (t_max,) = roots = roots()
+    # the maximum, capped at l_n; without one the surplus falls from l = 0
+    candidates = ends + ((min(_exp(t_max), s.l_n),) if t_max is not None else (0.0,))
     c = _surplus_scale(s, m)  # DomainError where the surplus overflows
     l_opt = candidates[0]
     if len(candidates) > 1:
@@ -434,12 +439,13 @@ def solve_tradeoff(s: Scenario) -> TradeoffSolution:
     (``model._gain``), ties going to the smaller loss; its status follows
     from where it sits, and its ``surplus`` is ``net_surplus`` there.  A
     sweep runs the same ``_setup`` once and ``_search`` once per price, so
-    its points agree with this; where the ranking needs no root (the cap
-    test, ``nu > 1 + theta``) only this function runs the root search.
+    its points agree with this; where the ranking reads no root (the cap
+    test, ``1 < nu < 1 + theta``'s minimum, ``nu > 1 + theta``) only this
+    function runs the root search.
     """
     setup = _setup(s)
     l_opt, roots, bracket = _search(s, setup, s.price)
-    roots = roots() if callable(roots) else roots  # reported even where the ranking needed none
+    roots = roots() if callable(roots) else roots  # reported even where the ranking read none
     bracket = tuple(map(_exp, bracket or ()))
     return TradeoffSolution(
         l_opt=l_opt,

@@ -115,8 +115,10 @@ def region_bounds(s, q1, alpha):
     customer = q1 * mp.sqrt(1 + alpha)
     x = q1 / v["q"]
     disc = 1 - 4 * x * (1 - x) / (1 + alpha)
-    half = (1 + alpha) * v["q"] / 2
-    return customer, half * (1 - mp.sqrt(disc)), half * (1 + mp.sqrt(disc))
+    root = mp.sqrt(disc)
+    # the lower root from the product of the roots: half (1 - root) cancels
+    # even at 50 digits once alpha passes ~1e48
+    return customer, 2 * q1 * (1 - x) / (1 + root), (1 + alpha) * v["q"] / 2 * (1 + root)
 
 
 def log_gradient(s):

@@ -110,6 +110,23 @@ UNDERFLOWING_BOUND = {
     "l_n": 1e-305, "pi_s": 1e-3, "pi_c_star": 0.5,
 }
 
+#: nu > 1 + theta scenario whose uniqueness bound, about 3.15e-302, is
+#: normal, but whose linear formula passes a subnormal product, alpha_n (q*
+#: p* nu / 2) at about 2.1e-321, on the way; with nu = 1 its band edges,
+#: about 1.45e-302 and 1.89e-23, do too
+SUBNORMAL_PRODUCT = {
+    "q_star": 1.3219990547604668e-150, "p_star": 1.3219990547604668e-150, "price": 1.1372048752160218e-150,
+    "nu": 2.180604381614009, "theta": 0.18060438161400907, "alpha_n": 1.1078742559286177e-21,
+    "l_n": 1.3219990547604668e-150, "pi_s": 1e-300, "pi_c_star": 1.1078742559286177e-21,
+}
+
+#: SUBNORMAL_PRODUCT with q* p* at 1e-320, subnormal, and alpha_n = 1e100,
+#: which brings 0.5 q* p* nu alpha_n and the bound, about 1.6e-201, back
+#: into the normal range
+SUBNORMAL_PARTIAL_PRODUCT = dict(
+    SUBNORMAL_PRODUCT, q_star=1e-160, p_star=1e-160, price=0.86e-160, alpha_n=1e100,
+)
+
 #: nu == 1 scenario with a subnormal pi_c*: the lower band edge lies
 #: beyond the float range, and so does the secure quasi-elasticity in pi_c*
 TINY_RISK = {

@@ -286,6 +286,13 @@ class TestSecureQuasiElasticities:
         qe = secure_quasi_elasticities(s)
         assert all(map(math.isfinite, (qe.qeps_nu, qe.qeps_theta, qe.qeps_pi_c_star))), (s, qe)
 
+    def test_price_at_p_star_rejected(self, table2):
+        # matched by text: without the price check the overflow check raises
+        # a DomainError here too
+        s = dataclasses.replace(table2, price=table2.p_star)
+        with pytest.raises(DomainError, match="quasi-elasticities require price < p_star"):
+            secure_quasi_elasticities(s)
+
     def test_overflowing_quasi_elasticity_rejected(self):
         # -k / pi_c* with a subnormal pi_c* lies beyond the float range
         with pytest.raises(DomainError, match="overflow"):

@@ -21,6 +21,8 @@ from conftest import (
     OVERFLOWING_BENEFIT,
     OVERFLOWING_SURPLUS,
     SUBNORMAL_CAP,
+    SUBNORMAL_PARTIAL_PRODUCT,
+    SUBNORMAL_PRODUCT,
     TINY_OPTIMUM,
     TINY_RISK,
     UNDERFLOWING_BOUND,
@@ -35,6 +37,7 @@ from privopt import (
     Regime,
     Scenario,
     SolutionStatus,
+    UsageError,
     ValidationError,
     classify_regime,
     default_price_grid,
@@ -245,7 +248,7 @@ class TestFeasibilityReport:
         s = Scenario(**UNDERFLOWING_BOUND)
         rep = feasibility_report(s)
         (cond,) = rep.conditions
-        assert cond.bound == pytest.approx(float(_oracle.sufficient_bound(s, s.margin())), rel=1e-12)
+        assert cond.bound == pytest.approx(float(_oracle.sufficient_bound(s, s.margin())), rel=1e-12, abs=0.0)
         assert cond.satisfied and rep.guaranteed_unique
 
     def test_underflowing_band_comes_from_logs(self):
@@ -255,9 +258,26 @@ class TestFeasibilityReport:
         rep = feasibility_report(s)
         lower, upper = rep.conditions
         lo_ref, hi_ref = _oracle.nu_eq_1_band(s)
-        assert lower.bound == pytest.approx(float(lo_ref), rel=1e-12)
-        assert upper.bound == pytest.approx(float(hi_ref), rel=1e-12)
+        assert lower.bound == pytest.approx(float(lo_ref), rel=1e-12, abs=0.0)
+        assert upper.bound == pytest.approx(float(hi_ref), rel=1e-12, abs=0.0)
         assert lower.satisfied and upper.satisfied and rep.guaranteed_unique
+
+    @pytest.mark.parametrize("params", [SUBNORMAL_PRODUCT, SUBNORMAL_PARTIAL_PRODUCT], ids=["product", "partial"])
+    def test_subnormal_product_takes_the_log_path(self, params):
+        # the bound is normal, but the linear formula keeps only ~9 bits of
+        # its subnormal alpha_n (q* p* nu / 2), 4.2% off; with a subnormal
+        # q* p* on the way, the log of the normal product is 9.2e-5 off
+        s = Scenario(**params)
+        (cond,) = feasibility_report(s).conditions
+        assert cond.bound == pytest.approx(float(_oracle.sufficient_bound(s, s.margin())), rel=1e-12, abs=0.0)
+
+    def test_subnormal_band_product_takes_the_log_path(self):
+        # (q* p* / 2) m**2 alpha_n is subnormal: the linear edges are 4.5% off
+        s = dataclasses.replace(Scenario(**SUBNORMAL_PRODUCT), nu=1.0)
+        lower, upper = feasibility_report(s).conditions
+        lo_ref, hi_ref = _oracle.nu_eq_1_band(s)
+        assert lower.bound == pytest.approx(float(lo_ref), rel=1e-12, abs=0.0)
+        assert upper.bound == pytest.approx(float(hi_ref), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("pi_s", [1e-4, 0.0])
     def test_finite_bounds_keep_the_linear_formula(self, table2, pi_s):
@@ -451,6 +471,23 @@ class TestDeferredSearch:
         # solve_tradeoff still runs it to report the critical point
         (point,) = sol.critical_points
         assert abs(normalized_gradient(s, point)) < 1e-12
+
+    def test_subcase_a_sweep_searches_only_the_maximum(self):
+        # 1 < nu < 1 + theta: the left root is a surplus minimum, which the
+        # ranking does not read, so a sweep point searches the right root only
+        s = SUBCASE_A_INTERIOR
+        grid = default_price_grid(s, points=21)
+        with mock.patch.object(privopt.solver, "brentq", wraps=brentq) as root:
+            series = price_sweep(s, grid)
+            sweep_calls = root.call_count
+            root.reset_mock()
+            sols = [solve_tradeoff(dataclasses.replace(s, price=p)) for p in grid]
+            solve_calls = root.call_count
+        # a positive peak gives both roots; solve_tradeoff reports them
+        peaks = sum(len(sol.critical_points) == 2 for sol in sols)
+        assert 0 < peaks < len(grid)
+        assert (sweep_calls, solve_calls) == (peaks, 2 * peaks)
+        assert series.l_opt == tuple(sol.l_opt for sol in sols)
 
 
 class TestSolveNuEq1:
@@ -902,6 +939,12 @@ class TestNormalizedGradient:
             big_a, big_b = a * l ** (table2.nu - 1.0), table2.pi_s + b * l**table2.theta
             assert normalized_gradient(table2, l) == pytest.approx((big_a - big_b) / (big_a + big_b), abs=1e-15)
 
+    @pytest.mark.parametrize("l", [0.0, -1.0])
+    def test_nonpositive_loss_is_a_usage_error(self, table2, l):
+        # not the ValueError of log(l)
+        with pytest.raises(UsageError, match="normalized gradient requires l > 0"):
+            normalized_gradient(table2, l)
+
     @pytest.mark.parametrize("pi_s", [0.0, 1e-4])
     @pytest.mark.parametrize("ratio", [1.0, 1.5])
     def test_no_demand_is_minus_one(self, table2, pi_s, ratio):
@@ -945,6 +988,17 @@ class TestLogSpaceAccuracy:
         # nu within 1e-3 of 1 or 1 + theta, never on it: the general
         # formulas of the regime nu falls in, not a boundary's closed form
         self.assert_roots_match(s)
+
+    @pytest.mark.parametrize("params", [SUBNORMAL_PRODUCT, SUBNORMAL_PARTIAL_PRODUCT], ids=["product", "partial"])
+    def test_subnormal_coefficient_product_keeps_its_digits(self, params):
+        # log a sums the parameter logs where 0.5 q* p* nu alpha_n, or a
+        # product on the way, is subnormal: the log of the rounded product
+        # puts the root 6.6e-4 and 9.2e-5 off; it lies beyond l_n, which
+        # assert_roots_match skips
+        s = Scenario(**params)
+        (point,) = solve_tradeoff(s).critical_points
+        root = _oracle.log_root(s, math.log(point))
+        assert float(abs(mp.mpf(point) / mp.exp(root) - 1)) < 1e-12
 
     @staticmethod
     def assert_roots_match(s):
