@@ -254,10 +254,10 @@ def valid_demand_region(s: Scenario, q1: float, alpha: float) -> ConsumptionRegi
     if not alpha > 0:
         raise DomainError("alpha must be > 0")
     customer = q1 * math.sqrt(1.0 + alpha)
-    x = q1 / s.q_star
-    # 0 < x < 1 keeps the rounded 4 x (1 - x) at most 1, so disc >= 0
-    disc = 1.0 - 4.0 * x * (1.0 - x) / (1.0 + alpha)
-    root = math.sqrt(disc)
+    # the discriminant 1 - 4 x (1 - x) / (1 + alpha), x = q1/q*, as ((1 -
+    # 2x)**2 + alpha) / (1 + alpha): it cancels next to x = 1/2 otherwise
+    y = (s.q_star - q1 - q1) / s.q_star
+    root = math.sqrt((y * y + alpha) / (1.0 + alpha))
     provider_upper = (1.0 + alpha) * s.q_star / 2.0 * (1.0 + root)
     # the product of the roots, (1+alpha) (q*-q1) q1, over the upper one:
     # half (1 - root) cancels as alpha grows (Goldberg 1991)
@@ -419,6 +419,25 @@ def _log_product(*factors) -> float:
         if not sys.float_info.min <= p < math.inf:
             return math.fsum(map(math.log, factors))
     return math.log(p)
+
+
+def _quotient(numerator: tuple, denominator: tuple) -> float:
+    """The product of ``numerator`` over that of ``denominator``, each taken
+    left to right on the factors' binary mantissas, their exponents summed
+    apart; ``inf`` past the float range.  Scaling by a power of two is exact
+    (Goldberg 1991): this is the linear formula's float wherever its
+    products and quotient are normal, and loses no digits on the way elsewhere."""
+    p, q, e = 1.0, 1.0, 0
+    for x in numerator:
+        x, k = math.frexp(x)
+        p, e = p * x, e + k
+    for x in denominator:
+        x, k = math.frexp(x)
+        q, e = q * x, e - k
+    try:
+        return math.ldexp(p / q, e)
+    except OverflowError:
+        return math.inf
 
 
 def _log_parts(s: Scenario) -> tuple:

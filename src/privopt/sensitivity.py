@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import DomainError, UsageError, ValidationError
-from .model import Scenario, _cap_risk, demand_quantity, marginal_demand_factor
+from .model import Scenario, _cap_risk, _quotient, demand_quantity, marginal_demand_factor
 # unused here, but perfbench/tracing.py resolves this name and exits if it is gone
 from .secure import secure_feasible_loss  # noqa: F401
 from .solver import Regime, SolutionStatus, _grid_points, _search, _setup, _status_for, classify_regime, solve_tradeoff
@@ -312,12 +312,11 @@ def saturation_price(s: Scenario) -> float:
                              / (alpha_n q* p* nu)))
 
     clamped to ``[0, p*]``.  Only meaningful in the monotone ``nu < 1``
-    regime.  A denominator that underflows to 0 is an infinite ratio, so
-    the price clamps to 0.
+    regime.  The ratio under the root comes from ``model._quotient``, so
+    no product on the way loses digits to under- or overflow.
     """
     if classify_regime(s) is not Regime.NU_LT_1:
         raise UsageError("saturation price applies to the nu < 1 regime only")
-    benefit = s.alpha_n * s.q_star * s.p_star * s.nu
-    ratio = _cap_risk(s) * 2.0 * s.l_n / benefit if benefit else math.inf
+    ratio = _quotient((_cap_risk(s), 2.0, s.l_n), (s.alpha_n, s.q_star, s.p_star, s.nu))
     p_sat = s.p_star * (1.0 - math.sqrt(ratio))
     return float(min(max(p_sat, 0.0), s.p_star))

@@ -29,11 +29,9 @@ A brute-force grid oracle is included for validation only.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 
 from .errors import NumericError, UsageError, ValidationError
 from .model import (
@@ -43,9 +41,9 @@ from .model import (
     _exp,
     _gain,
     _log_parts,
-    _log_product,
     _logaddexp,
     _margin,
+    _quotient,
     _surplus_bounds,
     _surplus_scale,
     net_surplus,
@@ -151,9 +149,7 @@ class TradeoffSolution:
 @dataclass(frozen=True)
 class FeasibilityCondition:
     """One condition on ``l_n``: ``bound`` is the edge ``l_n`` is compared
-    against, None where it is not a float: it lies beyond the float range,
-    or an overflow in its formula meets a zero margin.  A bound whose
-    linear formula over- or underflows on the way comes from its logs instead.
+    against, None only where it lies beyond the float range.
     ``satisfied`` is the comparison with the value the formula gave."""
 
     name: str
@@ -209,21 +205,6 @@ def classify_regime(s: Scenario) -> Regime:
     return _SUBCASE_B
 
 
-def _feasibility_bound(factors: tuple, log_factor: float, m: float, divisor: float) -> float:
-    """A feasibility bound ``factors[0] * factors[1] * ... / divisor``, one
-    factor ``m**2``, as its linear formula gives it, left to right; where a
-    product on the way or the bound is not a normal float at a positive
-    margin ``m``, so that digits may be lost, the same bound from logs,
-    ``log_factor + 2 log m - log divisor``, which is ``inf`` or 0 only
-    where the bound itself lies beyond the float range.  A positive margin
-    is at least 2**-53, so ``m**2`` itself is normal."""
-    products = tuple(accumulate(factors, operator.mul))
-    linear = products[-1] / divisor
-    if not m > 0.0 or all(sys.float_info.min <= x < math.inf for x in (*products, linear)):
-        return linear
-    return _exp(log_factor + 2.0 * math.log(m) - math.log(divisor))
-
-
 def feasibility_report(s: Scenario) -> FeasibilityReport:
     """Evaluate the regime's existence/uniqueness conditions numerically.
 
@@ -232,7 +213,8 @@ def feasibility_report(s: Scenario) -> FeasibilityReport:
     solution requires the gradient to still be positive at ``l_n``, which
     caps ``l_n``.  For ``nu == 1`` existence and uniqueness of an interior
     solution is equivalent to ``l_n`` lying inside an open band, which
-    has no upper edge when ``pi_s == 0``.
+    has no upper edge when ``pi_s == 0``.  Each bound is one
+    ``model._quotient`` of parameter products, exact to a few ulp.
     """
     regime = classify_regime(s)
     m = s.margin()
@@ -241,17 +223,15 @@ def feasibility_report(s: Scenario) -> FeasibilityReport:
         return FeasibilityReport(regime=regime, conditions=(), guaranteed_unique=True)
     if regime in (_SUBCASE_A, _SUBCASE_B):
         # alpha_n (q* p* nu / 2) m**2 / risk
-        factors = (s.q_star, s.p_star, s.nu, 0.5, s.alpha_n, m**2)
-        bound = _feasibility_bound(factors, _log_parts(s)[0], m, risk)
+        bound = _quotient((s.q_star, s.p_star, s.nu, 0.5, s.alpha_n, m**2), (risk,))
         cond = FeasibilityCondition("sufficient_l_n_upper_bound", bound, s.l_n < bound)
         return FeasibilityReport(regime=regime, conditions=(cond,), guaranteed_unique=cond.satisfied)
     if regime is _NU_EQ_1:
         base = (s.q_star, s.p_star, 0.5, m**2, s.alpha_n)  # (q* p* / 2) m**2 alpha_n
-        log_base = _log_product(0.5, s.q_star, s.p_star, s.alpha_n)
-        lower = _feasibility_bound(base, log_base, m, risk)
+        lower = _quotient(base, (risk,))
         conditions = (FeasibilityCondition("band_lower_edge", lower, s.l_n > lower),)
         if s.pi_s > 0:  # with pi_s == 0 the band has no upper edge
-            upper = _feasibility_bound(base, log_base, m, s.pi_s)
+            upper = _quotient(base, (s.pi_s,))
             conditions += (FeasibilityCondition("band_upper_edge", upper, s.l_n < upper),)
         unique = all(c.satisfied for c in conditions)
         return FeasibilityReport(regime=regime, conditions=conditions, guaranteed_unique=unique)
@@ -340,6 +320,14 @@ def _setup(s: Scenario) -> tuple:
     return classify_regime(s), _log_parts(s), _exponent_gap(s)
 
 
+def _best(s: Scenario, losses, c: float) -> float:
+    """The first of the ascending ``losses`` with the largest gain over ``l
+    = 0`` at the surplus scale ``c``: ties go to the smaller loss, as
+    ``max`` keeps the first of equal keys, and the gain at 0 is 0 exactly
+    and is not evaluated."""
+    return max(losses, key=lambda l: _gain(s, l, c) if l else 0.0)
+
+
 def _search(s: Scenario, setup: tuple, price: float) -> tuple:
     """``(l_opt, roots, bracket)`` of ``s`` at ``price`` from ``_setup(s)``,
     roots and bracket in ``t``, with ``solve_tradeoff``'s errors; ``s.price``
@@ -401,11 +389,7 @@ def _search(s: Scenario, setup: tuple, price: float) -> tuple:
     # the maximum, capped at l_n; without one the surplus falls from l = 0
     candidates = ends + ((min(_exp(t_max), s.l_n),) if t_max is not None else (0.0,))
     c = _surplus_scale(s, m)  # DomainError where the surplus overflows
-    l_opt = candidates[0]
-    if len(candidates) > 1:
-        # max keeps the first of equal gains, so ties go to the smaller
-        # loss; the gain at 0 is 0 exactly and needs no evaluation
-        l_opt = max(sorted(set(candidates)), key=lambda l: _gain(s, l, c) if l else 0.0)
+    l_opt = _best(s, sorted(set(candidates)), c) if len(candidates) > 1 else candidates[0]
     return l_opt, roots, bracket
 
 
@@ -471,12 +455,8 @@ def solve_discrete(s: Scenario, losses) -> tuple:
             raise ValidationError("losses", f"entry {i} ({l}) outside (0, {s.l_n}]")
         if i and l <= seq[i - 1]:
             raise ValidationError("losses", f"entries must be strictly increasing at index {i}")
-    index, loss, best = None, 0.0, 0.0  # the gain at l = 0
-    for i, l in enumerate(seq):
-        gain = _gain(s, l)
-        if gain > best:
-            index, loss, best = i, l, gain
-    return index, loss, net_surplus(s, loss)
+    loss = _best(s, [0.0] + seq, _surplus_scale(s, s.margin()))
+    return (seq.index(loss) if loss else None), loss, net_surplus(s, loss)
 
 
 def _grid_points(name: str, n, cap: int) -> int:

@@ -77,12 +77,21 @@ OVERFLOWING_BENEFIT = {
     "l_n": 6.726902073525777e-84, "pi_s": 4.955447594909692e-149, "pi_c_star": 1.8083401027650518e-258,
 }
 
-#: nu < 1 scenario whose product alpha_n q* p* nu underflows to 0 in the
-#: saturation price; the true ratio there is about 2e51
+#: nu < 1 scenario whose product alpha_n q* p* nu underflows to 0 in
+#: floats; the saturation price's ratio is about 2e51, which clamps it to 0
 UNDERFLOWING_SATURATION = {
     "q_star": 2.744169072361026e-146, "p_star": 4.476281409031374e-90, "price": 2.743382468368329e-90,
     "nu": 0.021027153853027503, "theta": 0.5318858993951017, "alpha_n": 5.1831301897536705e-90,
     "l_n": 5.234262783296872e-77, "pi_s": 7.924797068931474e-240, "pi_c_star": 1.4674189065060792e-200,
+}
+
+#: nu < 1 scenario whose product alpha_n q* is subnormal, about 1e-323,
+#: on the way to a normal alpha_n q* p* nu in the saturation price, which
+#: the linear formula puts 5.8e-3 below its 50-digit 5.101e99
+SUBNORMAL_SATURATION = {
+    "q_star": 1e-120, "p_star": 1e100, "price": 0.0,
+    "nu": 0.5, "theta": 0.5, "alpha_n": 1e-203,
+    "l_n": 4e5, "pi_s": 0.0, "pi_c_star": 1e-230,
 }
 
 #: nu < 1 scenario whose vulnerable optimum, about 1.5e-288, lies so far
@@ -126,6 +135,13 @@ SUBNORMAL_PRODUCT = {
 SUBNORMAL_PARTIAL_PRODUCT = dict(
     SUBNORMAL_PRODUCT, q_star=1e-160, p_star=1e-160, price=0.86e-160, alpha_n=1e100,
 )
+
+#: nu == 1 scenario at a zero margin whose q* p* overflows: the lower band
+#: edge's linear formula multiplies inf by m**2 = 0
+ZERO_MARGIN_OVERFLOW = {
+    "q_star": 1e200, "p_star": 1e200, "price": 1e200, "nu": 1.0, "theta": 0.5,
+    "alpha_n": 0.2, "l_n": 1e4, "pi_s": 0.0, "pi_c_star": 1e-4,
+}
 
 #: nu == 1 scenario with a subnormal pi_c*: the lower band edge lies
 #: beyond the float range, and so does the secure quasi-elasticity in pi_c*

@@ -348,7 +348,7 @@ def test_criterion_11_nu_eq_1_band(table2):
             "11",
             f"{label}: INTERIOR and matches closed form ({sol.l_opt:.6g} vs {closed:.6g})",
             sol.status is SolutionStatus.INTERIOR
-            and sol.l_opt == pytest.approx(closed, rel=1e-9)
+            and sol.l_opt == pytest.approx(closed, rel=1e-9, abs=0.0)
             and feasibility_report(s).guaranteed_unique,
         )
     ok &= check(

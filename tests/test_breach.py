@@ -40,7 +40,7 @@ class TestBreachProfile:
 
 class TestCustomerBreachProbability:
     def test_maximum_release(self):
-        assert customer_breach_probability(TABLE2, TABLE2.l_n) == pytest.approx(1e-4, rel=1e-12)
+        assert customer_breach_probability(TABLE2, TABLE2.l_n) == pytest.approx(1e-4, rel=1e-12, abs=0.0)
 
     def test_nothing_disclosed(self):
         assert customer_breach_probability(TABLE2, 0.0) == 0.0

@@ -483,7 +483,7 @@ class TestCommands:
                 assert "surplus scale" in err, command
 
     def test_underflowing_saturation_product_clamps_to_zero(self, tmp_path):
-        # alpha_n q* p* nu underflows to 0: an infinite ratio, a saturation price of 0
+        # alpha_n q* p* nu underflows to 0 in floats; its ratio, about 2e51, clamps the price to 0
         path = write_params(tmp_path, UNDERFLOWING_SATURATION)
         for command, key in (("sweep-price", "saturation_price"), ("sweep-revenue", "saturation_price"),
                              ("sweep-olr", "kink_price")):
@@ -515,9 +515,9 @@ class TestCommands:
         assert "bound undefined (violated)" in capsys.readouterr().out
 
     def test_overflowing_feasibility_formula_keeps_its_bound(self, tmp_path, capsys):
-        # the linear formula overflows on the way to a bound of about 5.2e302,
-        # which its logs keep: to a few ulp of the log, against the 50-digit
-        # bound at the same float margin
+        # the linear formula overflows on the way to a bound of about 5.2e302;
+        # the scaled quotient keeps it within 7.7e-17 of the 50-digit bound
+        # at the same float margin
         path = write_params(tmp_path, OVERFLOWING_BOUND)
         s = Scenario(**OVERFLOWING_BOUND)
         expected = _oracle.sufficient_bound(s, s.margin())
@@ -525,7 +525,7 @@ class TestCommands:
             out = tmp_path / f"{command}.json"
             assert main([command, path, "--no-timestamp", "--out", str(out)]) == EXIT_OK, command
             (condition,) = strict_json(out.read_text())["feasibility"]["conditions"]
-            assert condition["bound"] == pytest.approx(float(expected), rel=1e-12)
+            assert condition["bound"] == pytest.approx(float(expected), rel=1e-15, abs=0.0)
             assert condition["satisfied"] is True
         assert "bound undefined" not in capsys.readouterr().out
 
@@ -713,7 +713,7 @@ class TestReports:
         assert "l_opt             1.25305e-155" in text
         assert "INTERIOR" in text
         solution = strict_json(out.read_text())["solution"]
-        assert solution["l_opt"] == pytest.approx(1.2530504093e-155, rel=1e-10)
+        assert solution["l_opt"] == pytest.approx(1.2530504093e-155, rel=1e-10, abs=0.0)
         assert abs(strict_json(out.read_text())["summary"]["normalized_gradient"]) < 1e-12
 
     def test_json_mirrors_solution_fields(self, tmp_path):

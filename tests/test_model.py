@@ -266,19 +266,23 @@ class TestValidDemandRegion:
     # alpha = 1e17, and NaN at 1e307, where half overflows
     @example(s=dataclasses.replace(Scenario(**FLAT_SURPLUS), q_star=250.0), x=0.4, alpha=1e17)
     @example(s=dataclasses.replace(Scenario(**FLAT_SURPLUS), q_star=250.0), x=0.4, alpha=1e307)
+    # 4 x (1 - x) / (1 + alpha) cancels against 1 here: both bounds were 1.05e-8 off
+    @example(s=dataclasses.replace(Scenario(**FLAT_SURPLUS), q_star=0.12388706704115218),
+             x=0.49999999999999994, alpha=1.1e-269)
     @settings(max_examples=200, deadline=None)
     def test_finite_alpha_gives_no_nan_bound(self, s, x, alpha):
-        # 4 x (1 - x) rounds to at most 1 and 1 + alpha >= 1, so the
-        # discriminant is never negative; the lower root divides by 1 + root
-        # and never meets an overflowed (1 + alpha) q*
+        # the discriminant ((1 - 2x)**2 + alpha) / (1 + alpha) is never
+        # negative; the lower root divides by 1 + root and never meets an
+        # overflowed (1 + alpha) q*
         q1 = x * s.q_star
         assume(0.0 < q1 < s.q_star)
         region = valid_demand_region(s, q1, alpha)
         assert not any(math.isnan(bound) for bound in dataclasses.astuple(region)), region
-        # the worst measured error, 1.05e-8 in 80,000 draws, is the rounded
-        # discriminant's next to x = 1/2, where the root is about sqrt(eps)
-        lower = float(_oracle.region_bounds(s, q1, alpha)[1])
-        assert region.provider_lower == pytest.approx(lower, rel=1.5e-8, abs=0.0), (region, lower)
+        # the worst measured error of either bound is 3.6e-16, over 62,000
+        # draws with x within 1e-2 of 1/2 and 80,000 over these ranges
+        _, lower, upper = map(float, _oracle.region_bounds(s, q1, alpha))
+        assert region.provider_lower == pytest.approx(lower, rel=1e-15, abs=0.0), (region, lower)
+        assert region.provider_upper == pytest.approx(upper, rel=1e-15, abs=0.0), (region, upper)
 
     def test_q1_out_of_range(self, table2):
         for q1 in (0.0, 250.0, -5.0, 260.0):
@@ -340,7 +344,7 @@ class TestNetSurplus:
         s = dataclasses.replace(table2, price=table2.p_star)
         for l in (0.0, 100.0, table2.l_n):
             expected = -(s.pi_s + s.pi_c_star * (1 - s.pi_s) * (l / s.l_n) ** s.theta) * l
-            assert net_surplus(s, l) == pytest.approx(expected, rel=1e-12)
+            assert net_surplus(s, l) == pytest.approx(expected, rel=1e-12, abs=0.0)
             assert net_surplus(s, l) <= 0.0
 
     def test_gain_is_the_surplus_over_zero_loss(self, table2):
@@ -349,7 +353,7 @@ class TestNetSurplus:
         for l in (0.0, 1.0, 3797.0, table2.l_n):
             assert net_surplus(table2, l) == net_surplus(table2, 0.0) + _gain(table2, l)
         exact = _oracle.net_surplus(table2, 3797.0) - _oracle.net_surplus(table2, 0.0)
-        assert _gain(table2, 3797.0) == pytest.approx(float(exact), rel=1e-13)
+        assert _gain(table2, 3797.0) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
     def test_large_surplus_stays_finite(self):
         # p*q*/2 overflows on its own; the surplus, about 5e289, does not.  The

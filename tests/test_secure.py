@@ -117,7 +117,7 @@ class TestSecureOptimalLoss:
             alpha_n=0.5, l_n=1e4, pi_s=0.0, pi_c_star=1e-3,
         )
         raw, clamped = secure_optimal_loss(s)
-        assert raw == pytest.approx(float(_oracle.secure_raw(s)), rel=1e-12)
+        assert raw == pytest.approx(float(_oracle.secure_raw(s)), rel=1e-12, abs=0.0)
         assert solve_tradeoff(s).l_opt == clamped == raw
 
     def test_pi_s_is_ignored(self, table2):

@@ -2,9 +2,11 @@
 
 import dataclasses
 import math
+import operator
 import sys
 import tracemalloc
 import warnings
+from itertools import accumulate
 from unittest import mock
 
 import mpmath as mp
@@ -26,6 +28,7 @@ from conftest import (
     TINY_OPTIMUM,
     TINY_RISK,
     UNDERFLOWING_BOUND,
+    ZERO_MARGIN_OVERFLOW,
     boundary_scenarios,
     fuzz_scenarios,
     make_random_scenario,
@@ -71,6 +74,8 @@ SUBCASE_A_ZERO_STEP = Scenario(
     nu=1.108574191501854, theta=0.13978560489920183, alpha_n=0.09441060866673744,
     l_n=0.029088700437139053, pi_s=0.0015675339544854849, pi_c_star=0.0001904877208343742,
 )
+# nu > 1 + theta whose gain at l_n is exactly 0.0: 0 and l_n tie at the surplus 2.0
+TIE = Scenario(q_star=4, p_star=1, price=0, nu=2, theta=0.5, alpha_n=0.5, l_n=1.6, pi_s=0.25, pi_c_star=0.5)
 # nu < 1 with the optimum below the smallest subnormal: it rounds to 0
 UNDERFLOWING_OPTIMUM = Scenario(
     q_star=0.001, p_star=0.001, price=0.0, nu=0.999, theta=0.01,
@@ -146,10 +151,10 @@ class TestDecisionCoefficients:
     def test_reference_values(self, table2):
         coeff_a, coeff_b = coefficients(table2)
         a, b = _oracle.coefficients(table2)
-        assert coeff_a == pytest.approx(float(a), rel=1e-13)
-        assert coeff_b == pytest.approx(float(b), rel=1e-13)
-        assert coeff_a == pytest.approx(0.24165873303, rel=1e-9)
-        assert coeff_b == pytest.approx(3.17510194943e-5, rel=1e-9)
+        assert coeff_a == pytest.approx(float(a), rel=1e-13, abs=0.0)
+        assert coeff_b == pytest.approx(float(b), rel=1e-13, abs=0.0)
+        assert coeff_a == pytest.approx(0.24165873303, rel=1e-9, abs=0.0)
+        assert coeff_b == pytest.approx(3.17510194943e-5, rel=1e-9, abs=0.0)
 
     def test_free_service_maximises_a(self, table2):
         free_a, free_b = coefficients(dataclasses.replace(table2, price=0.0))
@@ -162,7 +167,7 @@ class TestDecisionCoefficients:
         b_ref = coefficients(table2)[1] / (1.0 - table2.pi_s)
         for pi_s in (0.0, 0.3, 0.9, 1.0 - 1e-12):
             _, b = coefficients(dataclasses.replace(table2, pi_s=pi_s))
-            assert b == pytest.approx(b_ref * (1.0 - pi_s), rel=1e-12)
+            assert b == pytest.approx(b_ref * (1.0 - pi_s), rel=1e-12, abs=0.0)
 
     def test_degenerate_price_signals(self, table2):
         # at or above the willingness-to-pay the demand, and with it a, is
@@ -192,6 +197,15 @@ class TestClassifyRegime:
             classify_regime(dataclasses.replace(table2, nu=1.2 + 1e-13, theta=0.2))
             is Regime.NU_EQ_1_PLUS_THETA
         )
+
+
+def _linear(numerator, denominator):
+    """The product of ``numerator`` over that of ``denominator``, each
+    product taken left to right, or None where a product on the way or the
+    quotient is not a normal float."""
+    top, bottom = (list(accumulate(factors, operator.mul)) for factors in (numerator, denominator))
+    ratio = top[-1] / bottom[-1]
+    return ratio if all(sys.float_info.min <= x < math.inf for x in (*top, *bottom, ratio)) else None
 
 
 class TestFeasibilityReport:
@@ -242,42 +256,78 @@ class TestFeasibilityReport:
         assert (cond.name, cond.bound, cond.satisfied) == ("band_lower_edge", None, False)
         assert not rep.guaranteed_unique
 
-    def test_underflowing_bound_comes_from_logs(self):
+    # the worst error of the named scenarios' bounds below, against the
+    # 50-digit bound at the float margin, is 6.3e-16; the log formula that
+    # came before erred by 1.6e-14 to 1.2e-13 on them
+    QUOTIENT_TOL = 1e-15
+
+    def test_underflowing_bound_keeps_its_digits(self):
         # the linear formula underflows to 0, which would read l_n = 1e-305
         # as past the bound
         s = Scenario(**UNDERFLOWING_BOUND)
         rep = feasibility_report(s)
         (cond,) = rep.conditions
-        assert cond.bound == pytest.approx(float(_oracle.sufficient_bound(s, s.margin())), rel=1e-12, abs=0.0)
+        expected = float(_oracle.sufficient_bound(s, s.margin()))
+        assert cond.bound == pytest.approx(expected, rel=self.QUOTIENT_TOL, abs=0.0)
         assert cond.satisfied and rep.guaranteed_unique
 
-    def test_underflowing_band_comes_from_logs(self):
+    def test_underflowing_band_keeps_its_digits(self):
         # both band edges underflow to 0 in the linear formula, which would
         # read l_n as above the upper edge; the band holds it
         s = dataclasses.replace(Scenario(**UNDERFLOWING_BOUND), nu=1.0, l_n=1e-299)
         rep = feasibility_report(s)
         lower, upper = rep.conditions
         lo_ref, hi_ref = _oracle.nu_eq_1_band(s)
-        assert lower.bound == pytest.approx(float(lo_ref), rel=1e-12, abs=0.0)
-        assert upper.bound == pytest.approx(float(hi_ref), rel=1e-12, abs=0.0)
+        assert lower.bound == pytest.approx(float(lo_ref), rel=self.QUOTIENT_TOL, abs=0.0)
+        assert upper.bound == pytest.approx(float(hi_ref), rel=self.QUOTIENT_TOL, abs=0.0)
         assert lower.satisfied and upper.satisfied and rep.guaranteed_unique
 
     @pytest.mark.parametrize("params", [SUBNORMAL_PRODUCT, SUBNORMAL_PARTIAL_PRODUCT], ids=["product", "partial"])
-    def test_subnormal_product_takes_the_log_path(self, params):
+    def test_subnormal_product_keeps_its_digits(self, params):
         # the bound is normal, but the linear formula keeps only ~9 bits of
-        # its subnormal alpha_n (q* p* nu / 2), 4.2% off; with a subnormal
-        # q* p* on the way, the log of the normal product is 9.2e-5 off
+        # its subnormal alpha_n (q* p* nu / 2), 4.2% off, or passes a
+        # subnormal q* p* on the way
         s = Scenario(**params)
         (cond,) = feasibility_report(s).conditions
-        assert cond.bound == pytest.approx(float(_oracle.sufficient_bound(s, s.margin())), rel=1e-12, abs=0.0)
+        expected = float(_oracle.sufficient_bound(s, s.margin()))
+        assert cond.bound == pytest.approx(expected, rel=self.QUOTIENT_TOL, abs=0.0)
 
-    def test_subnormal_band_product_takes_the_log_path(self):
+    def test_subnormal_band_product_keeps_its_digits(self):
         # (q* p* / 2) m**2 alpha_n is subnormal: the linear edges are 4.5% off
         s = dataclasses.replace(Scenario(**SUBNORMAL_PRODUCT), nu=1.0)
         lower, upper = feasibility_report(s).conditions
         lo_ref, hi_ref = _oracle.nu_eq_1_band(s)
-        assert lower.bound == pytest.approx(float(lo_ref), rel=1e-12, abs=0.0)
-        assert upper.bound == pytest.approx(float(hi_ref), rel=1e-12, abs=0.0)
+        assert lower.bound == pytest.approx(float(lo_ref), rel=self.QUOTIENT_TOL, abs=0.0)
+        assert upper.bound == pytest.approx(float(hi_ref), rel=self.QUOTIENT_TOL, abs=0.0)
+
+    def test_zero_margin_overflowing_band_edge_is_zero(self):
+        # q* p* overflows on the way to a band edge whose m**2 is 0: the
+        # edge is 0.0, as at any other zero margin, not an undefined bound
+        s = Scenario(**ZERO_MARGIN_OVERFLOW)
+        rep = feasibility_report(s)
+        assert [(c.name, c.bound, c.satisfied) for c in rep.conditions] == [("band_lower_edge", 0.0, True)]
+        assert rep.guaranteed_unique
+
+    @given(s=fuzz_scenarios() | wide_scenarios() | boundary_scenarios())
+    @settings(max_examples=300, deadline=None)
+    def test_normal_products_keep_the_linear_formula(self, s):
+        # wherever every product on the way and the quotient are normal
+        # floats, each bound and the saturation price are their linear
+        # formula's float
+        m2, risk = s.margin() ** 2, _cap_risk(s)
+        regime = classify_regime(s)
+        if regime is Regime.NU_LT_1:
+            ratio = _linear((risk, 2.0, s.l_n), (s.alpha_n, s.q_star, s.p_star, s.nu))
+            if ratio is not None:
+                assert saturation_price(s) == min(max(s.p_star * (1.0 - math.sqrt(ratio)), 0.0), s.p_star)
+            return
+        if regime in (Regime.SUBCASE_A, Regime.SUBCASE_B):
+            expected = [_linear((s.q_star, s.p_star, s.nu, 0.5, s.alpha_n, m2), (risk,))]
+        else:  # nu == 1, or nu == 1 + theta, which has no condition
+            base = (s.q_star, s.p_star, 0.5, m2, s.alpha_n)
+            expected = [_linear(base, (risk,)), _linear(base, (s.pi_s,)) if s.pi_s else None]
+        for cond, bound in zip(feasibility_report(s).conditions, expected):
+            assert bound is None or cond.bound == bound, (cond, bound)
 
     @pytest.mark.parametrize("pi_s", [1e-4, 0.0])
     def test_finite_bounds_keep_the_linear_formula(self, table2, pi_s):
@@ -601,12 +651,14 @@ class TestSolveValleyRegime:
         assert sol.critical_points == ()
 
     def test_tie_goes_to_the_smaller_loss(self):
-        # the gain at l_n is exactly 0.0, so 0 and l_n tie at the surplus 2.0
-        s = Scenario(q_star=4, p_star=1, price=0, nu=2, theta=0.5, alpha_n=0.5, l_n=1.6, pi_s=0.25, pi_c_star=0.5)
-        assert net_surplus(s, 0.0) == net_surplus(s, s.l_n) == 2.0
-        sol = solve_tradeoff(s)
+        assert net_surplus(TIE, 0.0) == net_surplus(TIE, TIE.l_n) == 2.0
+        sol = solve_tradeoff(TIE)
         assert sol.regime is Regime.SUBCASE_B
         assert (sol.l_opt, sol.status) == (0.0, SolutionStatus.AT_ZERO)
+
+    def test_discrete_tie_goes_to_the_smaller_loss(self):
+        # the level l_n ties with the implicit l = 0, which comes first
+        assert solve_discrete(TIE, [1.6]) == (None, 0.0, 2.0)
 
     def test_oracle_agreement(self):
         for s in (SUBCASE_B_CLAMPED, dataclasses.replace(SUBCASE_B_CLAMPED, pi_c_star=0.5)):
@@ -1022,7 +1074,7 @@ class TestLogSpaceAccuracy:
         assert sol.status is SolutionStatus.INTERIOR
         root = _oracle.log_root(s, math.log(sol.l_opt))
         assert float(abs(mp.mpf(sol.l_opt) / mp.exp(root) - 1)) < 1e-13
-        assert sol.l_opt == pytest.approx(1.2530504093e-155, rel=1e-10)
+        assert sol.l_opt == pytest.approx(1.2530504093e-155, rel=1e-10, abs=0.0)
 
 
 class TestRootEvaluations:
