@@ -548,10 +548,14 @@ def customer_breach_probability(s: Scenario, l):
 def combined_breach_probability(pi_s: float, pi_c: float) -> float:
     """Series-system breach probability of two independent failure modes.
 
-    Evaluated as ``1 - (1 - pi_s)(1 - pi_c)``, identical to
-    ``pi_s + pi_c - pi_s*pi_c`` but immune to cancellation near 1.
+    ``1 - (1 - pi_s)(1 - pi_c)``, evaluated as ``-expm1(log1p(-pi_s) +
+    log1p(-pi_c))``: that keeps full relative accuracy near 0, where the
+    product form cancels (it gives 0 for two probabilities of 1e-17), and
+    stays exactly symmetric and monotone in each argument.
     """
     for name, value in (("pi_s", pi_s), ("pi_c", pi_c)):
         if not 0 <= value <= 1:
             raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(1.0 - (1.0 - pi_s) * (1.0 - pi_c))
+    if pi_s == 1 or pi_c == 1:
+        return 1.0
+    return 0.0 - math.expm1(math.log1p(-pi_s) + math.log1p(-pi_c))  # 0.0, not -0.0, at (0, 0)

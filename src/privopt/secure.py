@@ -95,9 +95,11 @@ def optimal_loss_ratio(s) -> float:
     """Ratio of the feasible optimum with ``pi_s = 0`` to the one with the
     scenario's own ``pi_s``.
 
-    At least 1: removing provider-side risk never reduces the optimal
-    exposure.  Exactly 1 when ``pi_s`` is already 0 or when both optima
-    sit at the cap.  DomainError where it is undefined: a vulnerable
+    At least 1 when ``pi_c* (1 + theta) <= 1``: removing provider-side
+    risk then never reduces the optimal exposure.  Where ``pi_c* (1 +
+    theta) > 1`` it can fall below 1, because a vulnerable provider scales
+    the customer-side risk by ``1 - pi_s``.  Exactly 1 when ``pi_s`` is
+    already 0 or when both optima sit at the cap.  DomainError where it is undefined: a vulnerable
     optimum of 0, or a ratio beyond the float range.
     """
     if s.pi_s == 0.0:

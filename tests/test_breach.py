@@ -6,6 +6,7 @@ covers the remaining fields.
 
 import dataclasses
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,14 @@ from conftest import SCENARIO_DIR
 TABLE2 = load_scenario(str(SCENARIO_DIR / "table2.json")).scenario
 
 probabilities = st.floats(0.0, 1.0)
+
+
+def exact_combined(a: float, b: float) -> float:
+    """``1 - (1 - a)(1 - b)`` to 50 digits, taken as ``a + b - ab`` so that
+    the reference does not cancel either, rounded to a float."""
+    with mp.workdps(50):
+        a, b = mp.mpf(a), mp.mpf(b)
+        return float(a + b - a * b)
 
 
 class TestBreachProfile:
@@ -76,12 +85,18 @@ class TestCustomerBreachProbability:
 
 class TestCombinedBreachProbability:
     def test_secure_provider_passes_through(self):
-        for x in (0.0, 0.3, 1.0):
-            assert combined_breach_probability(0.0, x) == pytest.approx(x, abs=1e-15)
+        for x in (0.0, 1e-17, 0.3, 1.0):
+            assert combined_breach_probability(0.0, x) == pytest.approx(x, rel=1e-15, abs=0.0)
 
     def test_certain_breach_dominates(self):
         for x in (0.0, 0.5, 1.0):
-            assert combined_breach_probability(1.0, x) == pytest.approx(1.0, abs=1e-15)
+            assert combined_breach_probability(1.0, x) == 1.0
+            assert combined_breach_probability(x, 1.0) == 1.0
+
+    @pytest.mark.parametrize("a, b", [(1e-17, 1e-17), (1e-4, 1e-4)])
+    def test_small_probabilities_to_full_precision(self, a, b):
+        # 1 - (1 - a)(1 - b) cancels here: 0.0 at 1e-17, 3.6e-13 off at 1e-4
+        assert combined_breach_probability(a, b) == pytest.approx(exact_combined(a, b), rel=1e-15, abs=0.0)
 
     def test_reference_value(self):
         assert combined_breach_probability(1e-4, 8.7435e-5) == pytest.approx(
@@ -99,7 +114,7 @@ class TestCombinedBreachProbability:
     def test_symmetry_and_product_form(self, a, b):
         left = combined_breach_probability(a, b)
         assert left == combined_breach_probability(b, a)
-        assert left == pytest.approx(1.0 - (1.0 - a) * (1.0 - b), abs=1e-15)
+        assert left == pytest.approx(exact_combined(a, b), rel=1e-15, abs=0.0)
         assert max(a, b) - 1e-15 <= left <= 1.0
 
     @given(a=probabilities, b=probabilities, bump=st.floats(0.0, 1.0))

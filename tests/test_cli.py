@@ -41,6 +41,7 @@ from privopt.cli import (
 from privopt.sensitivity import MAX_SWEEP_POINTS
 from privopt.solver import MAX_ORACLE_POINTS
 import _oracle
+import corpus
 from conftest import (
     OVERFLOWING_BENEFIT,
     OVERFLOWING_BOUND,
@@ -357,23 +358,25 @@ class TestImport:
         assert run_python(code) == "[]"
 
     def test_commands_load_no_numpy(self, tmp_path):
-        # numpy is imported only for arrays; oracle-check is the one command that builds them
-        argvs = [["pareto-nu", "--benefit", "0.8", "--loss", "0.2", "--out", str(tmp_path / "pareto-nu.json")]]
-        argvs += [
-            [command, TABLE2, "--no-timestamp", "--out", str(tmp_path / f"{command}.json")]
-            for command in COMMANDS if command not in ("pareto-nu", "oracle-check")
-        ]
+        # numpy is imported only for arrays; oracle-check is the one command
+        # that builds them.  Every other command runs on every corpus file,
+        # in one process, and exits as the manifest says.
+        runs = [(key, argv) for key, argv in corpus.cli_runs()
+                if argv[0] != "oracle-check" and key.endswith("--format json")]
         code = (
-            "import json, sys\n"
+            "import json, os, sys\n"
             "import privopt.cli\n"
+            "os.chdir(sys.argv[2])\n"
             "seen = [('import', 0, 'numpy' in sys.modules)]\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    seen.append((argv[0], privopt.cli.main(argv), 'numpy' in sys.modules))\n"
+            "for key, argv in json.loads(sys.argv[1]):\n"
+            "    code = privopt.cli.main(argv + ['--no-timestamp', '--out', sys.argv[3]])\n"
+            "    seen.append((key, code, 'numpy' in sys.modules))\n"
             "print(json.dumps(seen))\n"
         )
-        seen = json.loads(run_python(code, json.dumps(argvs)).splitlines()[-1])
-        assert [name for name, _, _ in seen] == ["import"] + [argv[0] for argv in argvs]
-        assert all(code == EXIT_OK and not numpy for _, code, numpy in seen), seen
+        output = run_python(code, json.dumps(runs), str(corpus.CORPUS_DIR), str(tmp_path / "report"))
+        seen = json.loads(output.splitlines()[-1])
+        manifest = json.loads(corpus.MANIFEST.read_text())["cli"]
+        assert seen == [["import", 0, False]] + [[key, manifest[key]["exit"], False] for key, _ in runs]
 
     def test_int_scenario_is_float_and_solves_without_numpy(self):
         code = (

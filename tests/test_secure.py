@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 
 import _oracle
 from conftest import (
+    OLR_BELOW_ONE,
     OVERFLOWING_EQ1,
     OVERFLOWING_OLR,
     TINY_RISK,
@@ -25,6 +26,7 @@ from privopt import (
     Scenario,
     classify_regime,
     optimal_loss_ratio,
+    oracle_grid_argmax,
     secure_elasticities,
     secure_feasible_loss,
     secure_optimal_loss,
@@ -149,6 +151,17 @@ class TestOptimalLossRatio:
     def test_never_below_one_on_price_grid(self, table2):
         for p in np.linspace(0.0, 0.98, 50):
             assert optimal_loss_ratio(dataclasses.replace(table2, price=float(p))) >= 1.0 - 1e-12
+
+    def test_below_one_where_customer_risk_dominates(self):
+        # pi_c* (1 + theta) > 1, so the docstring's condition fails; the two
+        # optima are checked against the 1e6-point grid oracle
+        s = Scenario(**OLR_BELOW_ONE)
+        assert s.pi_c_star * (1.0 + s.theta) > 1.0
+        assert optimal_loss_ratio(s) == pytest.approx(0.5523, abs=5e-5)
+        n = 1_000_000
+        for t in (s, dataclasses.replace(s, pi_s=0.0)):
+            assert abs(solve_tradeoff(t).l_opt - oracle_grid_argmax(t, n)) <= 2.0 * t.l_n / (n - 1)
+        assert solve_tradeoff(s).l_opt == s.l_n
 
 
 class TestSecureElasticities:

@@ -30,6 +30,7 @@ from conftest import (
     UNDERFLOWING_BOUND,
     ZERO_MARGIN_OVERFLOW,
     boundary_scenarios,
+    corpus_params,
     fuzz_scenarios,
     make_random_scenario,
     wide_scenarios,
@@ -58,15 +59,9 @@ from privopt.model import _cap_risk, _decision_equation, _exp, _surplus_bounds
 from privopt.solver import MAX_ORACLE_POINTS, ORACLE_BLOCK, RTOL, XTOL, _exponent_gap, _search, _setup, brentq
 
 # nu between 1 and 1+theta: gradient peaks, two stationary points, interior max
-SUBCASE_A_INTERIOR = Scenario(
-    q_star=1000.0, p_star=10.0, price=2.0, nu=1.1, theta=0.5,
-    alpha_n=0.5, l_n=1e5, pi_s=1e-5, pi_c_star=0.05,
-)
+SUBCASE_A_INTERIOR = Scenario(**corpus_params("subcase_a_interior"))
 # nu above 1+theta: surplus dips then grows; endpoints compete
-SUBCASE_B_CLAMPED = Scenario(
-    q_star=1000.0, p_star=10.0, price=2.0, nu=1.8, theta=0.5,
-    alpha_n=0.5, l_n=1e5, pi_s=1e-5, pi_c_star=1e-4,
-)
+SUBCASE_B_CLAMPED = Scenario(**corpus_params("subcase_b_clamped"))
 # 1 < nu < 1 + theta with the descending root near 1e274: Brent's
 # extrapolation step divides by zero there, and must bisect instead
 SUBCASE_A_ZERO_STEP = Scenario(
